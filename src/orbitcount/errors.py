@@ -52,6 +52,14 @@ class BudgetExceeded(OrbitCountError):
         self.estimate = estimate
 
 
+class InvariantViolation(OrbitCountError):
+    """A mathematical invariant that must hold for every input failed.
+
+    Raised by explicit checks, not by assert, so that it still fires
+    under python -O; it always means a bug, never bad input.
+    """
+
+
 class GroupConstraintViolated(OrbitCountError):
     """Input invariants do not define a multiplicative-type order (unit or
     twisted-palindromy condition fails, or the moment functional is

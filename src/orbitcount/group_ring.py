@@ -21,7 +21,7 @@ from .errors import (GeneratorNotFound, GroupConstraintViolated, Indeterminate,
 from .invariants import InvariantPair, char_poly_disc, moment_sequence, _vanishes
 from .linalg import (char_coeffs, mat_det, mat_identity, mat_mul,
                      mat_transpose, smith_normal_form)
-from .local_field import EElem, TruncSeries, sigma_and_imaginary
+from .local_field import EElem, TruncSeries, imaginary_unit
 
 
 class GroupOrderData:
@@ -157,7 +157,6 @@ def build_group_order(ab, N):
         power = _poly_mul_mod(power, tinv, ab)
 
     # theta matrix on the 2n real coordinates (t^l ; j t^l)
-    _, ju = sigma_and_imaginary(desc)
     taus = [[one] + [EElem.zero(desc)] * (n - 1)]
     for _ in range(n - 1):
         taus.append(_poly_mul_mod(taus[-1], tinv, ab))
@@ -264,7 +263,7 @@ def _find_generator(order, basis_polys, taus):
     n = order.n
     N = order._N
     sz = TruncSeries.zero(k, N)
-    _, ju = sigma_and_imaginary(desc)
+    j = imaginary_unit(desc)
 
     def fixed_coords(vec):
         y = [sum((order._U[i][r] * vec[r] for r in range(2 * n)), sz)
@@ -295,7 +294,7 @@ def _find_generator(order, basis_polys, taus):
 
     candidates = []
     # theta-average of jt: (jt - j t^(-1))/2
-    jt = [EElem.zero(desc), ju.elem] + [EElem.zero(desc)] * (n - 2) if n >= 2 else None
+    jt = [EElem.zero(desc), j] + [EElem.zero(desc)] * (n - 2) if n >= 2 else None
     if jt is not None:
         tj = _theta_poly(jt, taus, ab)
         inv2 = k.inv[2]
@@ -350,7 +349,7 @@ def lie_transport(order):
     k = desc.k
     n = order.n
     N = order._N
-    _, ju = sigma_and_imaginary(desc)
+    j = imaginary_unit(desc)
 
     taus = [[EElem.one(desc)] + [EElem.zero(desc)] * (n - 1)]
     tinv = _tinv_poly(ab)
@@ -366,7 +365,7 @@ def lie_transport(order):
                     zero, one)
     jp = [one]
     for _ in range(2 * n):
-        jp.append(jp[-1] * ju.elem)
+        jp.append(jp[-1] * j)
     a_t = [jp[i] * c[i - 1] for i in range(1, n + 1)]
     power = [one] + [zero] * (n - 1)
     b_t = []

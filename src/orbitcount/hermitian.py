@@ -9,18 +9,21 @@ x = xr + j xi it splits into two k-bilinear component forms
 
 with B the torsion form on Q and d = j^2, so one subspace-orthogonality
 kernel serves both the inert and split cases.  Self-dual lattices are
-exactly the stable isotropic subspaces of dimension v, found by the
-same canonical walk as the general-linear count, pruned to isotropic
-nodes (every chain inside a self-dual lattice stays isotropic).
+exactly the stable isotropic subspaces of dimension v.  They are found
+by order_lattices.walk, the walk behind the general-linear count, given
+the component forms as sheets (which prunes it to isotropic nodes:
+every chain inside a self-dual lattice stays isotropic) and one slice
+per irreducible factor of the minimal polynomial of T.  The small
+F_q[x] helpers here find those factors.  split_factor_check rechecks
+split instances through the bijection with all stable submodules.
 """
 
 import numpy as np
 
 from .errors import BudgetExceeded
 from .kspace import EchelonBasis
-from .order_lattices import (DEFAULT_MAX_V, _node_budget, _projective_tuples,
-                             build_quotient, gaussian_binomial,
-                             stable_submodules, torsion_dual)
+from .order_lattices import (DEFAULT_MAX_V, build_quotient, gaussian_binomial,
+                             stable_submodules, torsion_dual, walk)
 
 
 class HermQuotient:
@@ -91,15 +94,6 @@ def build_hermitian_quotient(order, desc, N, fq=None):
                                   herm_im.reshape(v * 2 * v, 2 * v)], axis=0)
         assert space.rank(stacked) == 2 * v
     return HermQuotient(v, space, P2, T2, J2, lifted + [J2], herm_re, herm_im, desc)
-
-
-def _is_isotropic(QE, W):
-    sp = QE.space
-    for r in range(QE.v):
-        for H in (QE.herm_re[r], QE.herm_im[r]):
-            if sp.matmul(sp.matmul(W, H), W.T).any():
-                return False
-    return True
 
 
 def _poly_divmod(num, den, k):
@@ -183,85 +177,23 @@ def _poly_apply(space, poly, M):
 def selfdual_submodules(QE, max_v=DEFAULT_MAX_V):
     """Canonical bases of all self-dual stable subspaces of Q_E.
 
-    The walk mirrors stable_submodules but keeps only isotropic nodes;
-    self-dual means isotropic of dimension exactly v, which is maximal,
-    so pruning never cuts off a chain leading to one.
-
-    Steps go one isotypic slice at a time: a minimal stable extension
-    of S carries a simple module, so it is killed by P, orthogonal to S
-    under every pairing sheet, and killed by g(T) for some irreducible
-    factor g of the minimal polynomial of T.  Slicing the candidate
-    space by g keeps the projective orbits small; the module closure of
-    a surviving line then stays within its slice.
+    Self-dual means stable and isotropic of dimension exactly v.  The
+    subspace walk runs with the Hermitian sheets, so it keeps isotropic
+    nodes only, and with one slice per irreducible factor of the
+    minimal polynomial of T.
     """
     v = QE.v
-    dim = QE.dim
     space = QE.space
-    q = space.k.q
     if v > max_v:
         raise BudgetExceeded(
             f"quotient dimension {v} exceeds the enumeration budget {max_v}",
-            estimate=gaussian_binomial(2 * v, v, q))
-    cap = _node_budget()
-    from collections import deque
-    seed = EchelonBasis(space, dim)
-    seen = {seed.key()}
-    frontier = deque([seed])
-    hits = []
-    if v == 0:
-        return [seed]
-    eye = space.arr(np.eye(dim, dtype=np.int64))
-    slice_ops = [_poly_apply(space, g, QE.T_op)
-                 for g in _distinct_irreducible_factors(
-                     space.k, _matrix_min_poly(space, QE.T_op))]
+            estimate=gaussian_binomial(2 * v, v, space.k.q))
+    slices = [_poly_apply(space, g, QE.T_op)
+              for g in _distinct_irreducible_factors(
+                  space.k, _matrix_min_poly(space, QE.T_op))] if v else []
     sheets = [H for r in range(v) for H in (QE.herm_re[r], QE.herm_im[r])]
-    while frontier:
-        S = frontier.popleft()
-        if S.dim == v:
-            hits.append(S)
-            continue
-        B = S.basis_matrix()
-        ann = space.right_nullspace(B) if S.dim else eye
-        base = [space.matmul(ann, QE.P_op)]
-        base += [space.matmul(B, H) for H in sheets] if S.dim else []
-        for gT in slice_ops:
-            stacked = np.concatenate(base + [space.matmul(ann, gT)], axis=0)
-            cand = space.right_nullspace(stacked)
-            cq = EchelonBasis(space, dim)
-            for w in cand:
-                w = S.reduce(w)
-                if w.any():
-                    cq.insert(w)
-            if not cq.dim:
-                continue
-            dirs = cq.basis_matrix()
-            reps = space.arr(list(_projective_tuples(cq.dim, q)))
-            lines = space.matmul(reps, dirs)
-            # necessary isotropy of the new line, batched over all sheets
-            mask = np.ones(len(lines), dtype=bool)
-            for H in sheets:
-                vals = space.dots(space.matmul(lines, H), lines)
-                mask &= vals == 0
-            for w in lines[mask]:
-                node = S.copy()
-                stack = [w]
-                while stack:
-                    x = stack.pop()
-                    if node.insert(np.array(x)):
-                        for M in QE.ops:
-                            stack.append(space.mat_vec(M, x))
-                if node.dim > v:
-                    continue
-                key = node.key()
-                if key in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise BudgetExceeded(
-                        f"self-dual walk passed {cap} nodes", estimate=2 * cap)
-                seen.add(key)
-                if _is_isotropic(QE, node.basis_matrix()):
-                    frontier.append(node)
-    return hits
+    nodes = walk(space, QE.dim, QE.P_op, QE.ops[1:], slices, sheets, top=v)
+    return [S for S in nodes if S.dim == v]
 
 
 def count_selfdual(QE, max_v=DEFAULT_MAX_V):
@@ -286,7 +218,7 @@ def split_factor_check(Q, QE, max_v=DEFAULT_MAX_V):
         eb = EchelonBasis(space, 2 * v)
         for s in S.basis_matrix():
             eb.insert(np.concatenate([s, s]))
-        for u in torsion_dual(Q, S).basis:
+        for u in torsion_dual(Q, S).basis_matrix():
             eb.insert(np.concatenate([u, space.neg(u)]))
         assert eb.dim == v
         expected.add(eb.key())

@@ -65,29 +65,6 @@ class MatrixE:
     def is_integral(self):
         return all(e.is_integral() for row in self.entries for e in row)
 
-    def to_obj(self):
-        return {"n": self.n, "entries": [[eelem_to_obj(e) for e in row] for row in self.entries]}
-
-    @classmethod
-    def from_obj(cls, obj, desc, field="matrix"):
-        if not isinstance(obj, dict):
-            raise SchemaError(field, "expected an object")
-        n = obj.get("n")
-        if not isinstance(n, int) or n < 1:
-            raise SchemaError(field + ".n", "expected a positive integer")
-        rows = obj.get("entries")
-        if not isinstance(rows, list) or len(rows) != n:
-            raise SchemaError(field + ".entries", f"expected {n} rows")
-        entries = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
-                raise SchemaError(field + f".entries[{i}]", f"expected {n} entries")
-            entries.append([
-                eelem_from_obj(cell, desc, field + f".entries[{i}][{j}]")
-                for j, cell in enumerate(row)
-            ])
-        return cls(entries, desc)
-
 
 class InvariantPair:
     """The pair (a_1..a_n, b_0..b_{n-1}) with its parity constraints.
@@ -170,13 +147,17 @@ class InvariantPair:
 
 
 class RegularityReport:
-    __slots__ = ("val_disc", "val_delta", "strongly_regular", "eta_delta")
+    """Valuations of disc(P_a) and Delta, with Delta itself for reuse."""
 
-    def __init__(self, val_disc, val_delta, strongly_regular, eta_delta):
+    __slots__ = ("val_disc", "val_delta", "strongly_regular", "eta_delta",
+                 "delta")
+
+    def __init__(self, val_disc, val_delta, strongly_regular, eta_delta, delta):
         self.val_disc = val_disc
         self.val_delta = val_delta
         self.strongly_regular = strongly_regular
         self.eta_delta = eta_delta
+        self.delta = delta
 
     def __repr__(self):
         return (f"RegularityReport(val_disc={self.val_disc}, val_delta={self.val_delta}, "
@@ -286,8 +267,9 @@ def strong_regularity(ab):
     val_disc = classify(res, "disc(P_a)")
     val_delta = classify(delta, "Delta")
     if val_disc is None or val_delta is None:
-        return RegularityReport(val_disc, val_delta, False, None)
-    return RegularityReport(val_disc, val_delta, True, eta(delta, ab.desc))
+        return RegularityReport(val_disc, val_delta, False, None, delta)
+    return RegularityReport(val_disc, val_delta, True, eta(delta, ab.desc),
+                            delta)
 
 
 def char_poly_disc(ab):

@@ -191,7 +191,9 @@ class EchelonBasis:
         return np.stack(self.rows)
 
     def key(self):
-        return bytes([self.dim]) + self.basis_matrix().astype(np.int8).tobytes()
+        # full-width entries: a narrower cast would merge distinct
+        # subspaces once q exceeds its range
+        return self.basis_matrix().astype(np.int64, copy=False).tobytes()
 
 
 def gaussian_binomial(n, d, q):

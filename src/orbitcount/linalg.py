@@ -6,7 +6,7 @@ Characteristic polynomials and determinants use the Berkowitz iteration,
 which needs no division at all, so exact inputs give exact outputs.
 """
 
-from .errors import NotAUnit, PrecisionExhausted
+from .errors import PrecisionExhausted
 
 
 def mat_identity(n, zero, one):
@@ -17,27 +17,11 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_map(A, f):
-    return [[f(e) for e in row] for row in A]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def vec_dot(u, v, zero):
     acc = zero
     for a, b in zip(u, v):
         acc = acc + a * b
     return acc
-
-
-def mat_vec(A, x, zero):
-    return [vec_dot(row, x, zero) for row in A]
 
 
 def mat_mul(A, B, zero):
@@ -94,45 +78,6 @@ def sylvester_resultant(p, q, zero, one):
         for j, c in enumerate(q):
             S[n + i][i + j] = c
     return mat_det(S, zero, one)
-
-
-def mat_inverse(A, zero, one):
-    """Inverse by Gauss-Jordan with unit pivots.
-
-    Works over the integers of the coefficient ring: every pivot must have
-    valuation 0, otherwise the matrix is not invertible there and NotAUnit
-    is raised.
-    """
-    n = len(A)
-    work = [list(row) for row in A]
-    aug = mat_identity(n, zero, one)
-    for r in range(n):
-        pr = None
-        for i in range(r, n):
-            if work[i][r].val() == 0:
-                pr = i
-                break
-        if pr is None:
-            raise NotAUnit(f"no unit pivot in column {r}")
-        if pr != r:
-            work[r], work[pr] = work[pr], work[r]
-            aug[r], aug[pr] = aug[pr], aug[r]
-        pinv = work[r][r].inv()
-        work[r] = [e * pinv for e in work[r]]
-        aug[r] = [e * pinv for e in aug[r]]
-        for i in range(n):
-            if i == r:
-                continue
-            c = work[i][r]
-            if c.is_zero():
-                continue
-            work[i] = [a - c * b for a, b in zip(work[i], work[r])]
-            aug[i] = [a - c * b for a, b in zip(aug[i], aug[r])]
-    return aug
-
-
-def mat_solve(A, B, zero, one):
-    return mat_mul(mat_inverse(A, zero, one), B, zero)
 
 
 def _row_sub(M, i, r, c):

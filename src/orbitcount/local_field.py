@@ -24,7 +24,6 @@ this normal form, so one code path serves both extension kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EtaUndefined, NotAUnit, PrecisionExhausted, SchemaError
@@ -32,8 +31,6 @@ from .gf import gf_by_order, gf_table
 
 SPLIT = "split"
 INERT = "inert"
-
-DEFAULT_PRECISION_CAP = 256
 
 
 class FieldDesc:
@@ -457,26 +454,13 @@ class EElem:
         return f"EE({self.re!r} + j*{self.im!r})"
 
 
-@dataclass(frozen=True)
-class ImaginaryUnit:
-    """The distinguished purely imaginary unit j with j^2 = jsq in O_F^x."""
+def imaginary_unit(desc):
+    """The canonical purely imaginary unit j, with j^2 = desc.jsq.
 
-    elem: EElem
-
-    @property
-    def square_class(self):
-        return self.elem.desc.jsq
-
-
-def sigma_and_imaginary(desc):
-    """The involution of E/F together with the canonical imaginary unit.
-
-    Inert: sigma is the coefficientwise residue Frobenius and j = x with
-    x^2 = d, d the canonical nonresidue.  Split: sigma is the component
-    swap and j = (1, -1).
+    Inert: j = x with x^2 = d, d the canonical nonresidue.  Split:
+    j = (1, -1).
     """
-    j = EElem(desc, TruncSeries.zero(desc.k), TruncSeries.one(desc.k))
-    return (lambda x: x.sigma()), ImaginaryUnit(j)
+    return EElem(desc, TruncSeries.zero(desc.k), TruncSeries.one(desc.k))
 
 
 def eta(x, desc=None):

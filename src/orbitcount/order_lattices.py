@@ -8,7 +8,8 @@ the finite quotient Q = dual/order, a module over k[P, T] where P is
 multiplication by pi and T by jt.  Everything here is exact: Q is cut
 out by a Smith normal form of G, operators are transported through
 the same change of basis, and the counting walk enumerates canonical
-echelon forms, never sampling.
+echelon forms, never sampling.  The same walk, given the Hermitian
+sheets, finds the self-dual lattices on the O_E side.
 """
 
 import os
@@ -19,9 +20,8 @@ import numpy as np
 from .errors import BudgetExceeded, NotStronglyRegular, PrecisionExhausted
 from .invariants import moment_sequence, strong_regularity, _vanishes
 from .kspace import EchelonBasis, KSpace, gaussian_binomial
-from .linalg import (mat_det, mat_mul, mat_transpose, mat_identity,
-                     smith_normal_form)
-from .local_field import EElem, TruncSeries, sigma_and_imaginary
+from .linalg import mat_det, mat_mul, mat_transpose, smith_normal_form
+from .local_field import EElem, TruncSeries, imaginary_unit
 
 DEFAULT_MAX_V = 12
 
@@ -58,14 +58,16 @@ def build_order(ab):
     ab.validate()
     report = strong_regularity(ab)
     if not report.strongly_regular:
-        raise NotStronglyRegular("disc or Delta vanishes exactly")
+        raise NotStronglyRegular(
+            "instance is not strongly regular "
+            f"(val disc={report.val_disc}, val Delta={report.val_delta})")
     n = ab.n
     desc = ab.desc
     k = desc.k
-    _, ju = sigma_and_imaginary(desc)
+    j = imaginary_unit(desc)
     jp = [EElem.one(desc)]
     for _ in range(2 * n):
-        jp.append(jp[-1] * ju.elem)
+        jp.append(jp[-1] * j)
     s = moment_sequence(ab, 2 * n - 1)
     G = [[_real_part(jp[i + r] * s[i + r]) for r in range(n)] for i in range(n)]
     zero = TruncSeries.zero(k)
@@ -88,8 +90,7 @@ def build_order(ab):
         for r in range(n):
             assert GT[i][r].agrees_with(TtG[i][r])
     detG = mat_det(G, sz, so)
-    from .invariants import delta_invariant
-    delta = _real_part(delta_invariant(ab))
+    delta = _real_part(report.delta)
     dpow = k.pow(desc.jsq, n * (n - 1) // 2)
     assert detG.agrees_with(delta.scaled(dpow))
     return OrderData(n, T, G, report.val_delta, report.val_disc, desc)
@@ -104,9 +105,9 @@ class FiniteQuotient:
     """
 
     __slots__ = ("v", "space", "P_op", "T_op", "ops", "pairing",
-                 "dexps", "gens", "desc")
+                 "dexps", "desc")
 
-    def __init__(self, v, space, P_op, T_op, ops, pairing, dexps, gens, desc):
+    def __init__(self, v, space, P_op, T_op, ops, pairing, dexps, desc):
         self.v = v
         self.space = space
         self.P_op = P_op
@@ -114,18 +115,7 @@ class FiniteQuotient:
         self.ops = ops
         self.pairing = pairing
         self.dexps = dexps
-        self.gens = gens
         self.desc = desc
-
-
-class Submodule:
-    """Canonical echelon representative of a stable subspace of Q."""
-
-    __slots__ = ("basis", "colength")
-
-    def __init__(self, basis, colength):
-        self.basis = basis
-        self.colength = colength
 
 
 def quotient_from_gram(G, mults, N, val_delta, desc):
@@ -197,7 +187,7 @@ def quotient_from_gram(G, mults, N, val_delta, desc):
         stacked = pairing.reshape(v * v, v)
         assert space.rank(stacked) == v
     T_op = fq_ops[0] if fq_ops else space.zeros((v, v))
-    return FiniteQuotient(v, space, P_op, T_op, ops, pairing, dexps, gens, desc)
+    return FiniteQuotient(v, space, P_op, T_op, ops, pairing, dexps, desc)
 
 
 def build_quotient(order, N):
@@ -209,66 +199,89 @@ def _node_budget():
     return int(cap) if cap else 4_000_000
 
 
-def stable_submodules(Q, max_v=DEFAULT_MAX_V):
-    """All submodules of Q stable under ops, as canonical echelon bases.
+def walk(space, dim, P, ops, slices=(), sheets=(), top=None):
+    """Stable subspaces of k^dim found upward from 0, in discovery order.
 
-    Walk upward from 0: for a known stable S the vectors w with
-    P w in S form a linear space (it contains S since S is stable);
-    each line of that space modulo S is closed under the full operator
-    list and the result enqueued.  Every stable S' is found: a maximal
-    stable proper T' < S' admits w in S' \\ T' with P w in T' because P
-    is nilpotent, and the closure of T' + k w inside S' is stable and
-    strictly larger, hence equal to S'.
+    For a known stable S the vectors w with P w in S form a linear space
+    (it contains S since S is stable); each line of that space modulo S
+    is closed under ops and the result enqueued.  Every stable S' is
+    found: a maximal stable proper T' < S' admits w in S' \\ T' with
+    P w in T' because P is nilpotent, and the closure of T' + k w inside
+    S' is stable and strictly larger, hence equal to S'.  The closure
+    leaves P out: P commutes with ops and P w lies in S, so P maps the
+    closure of S + k w back into S.
+
+    slices are operators g(T), one per irreducible factor g of T's
+    minimal polynomial.  A minimal stable extension carries a simple
+    module, so it is killed by some g(T); taking the candidates one
+    kernel at a time keeps the projective orbits small.  With no slices
+    the candidates are not cut.
+
+    sheets are bilinear forms; when given, only nodes on which every
+    sheet vanishes are kept and extended, so a candidate line must be
+    orthogonal to S and isotropic under each.  Every subspace of an
+    isotropic space is isotropic, so this prunes no chain that leads to
+    a maximal one.  Nodes of dimension top (default dim) are leaves, and
+    closures that pass it are dropped.
     """
-    v = Q.v
-    space = Q.space
     q = space.k.q
-    if v > max_v:
-        raise BudgetExceeded(
-            f"quotient dimension {v} exceeds the enumeration budget {max_v}",
-            estimate=gaussian_binomial(v, v // 2, q))
+    top = dim if top is None else top
     cap = _node_budget()
-    seed = EchelonBasis(space, v)
+    eye = space.arr(np.eye(dim, dtype=np.int64))
+    seed = EchelonBasis(space, dim)
     seen = {seed.key()}
     frontier = deque([seed])
     out = [seed]
     while frontier:
         S = frontier.popleft()
-        if S.dim == v:
+        if S.dim == top:
             continue
         B = S.basis_matrix()
-        ann = space.right_nullspace(B) if S.dim else space.arr(np.eye(v, dtype=np.int64))
-        cand = space.right_nullspace(space.matmul(ann, Q.P_op))
-        # echelonize the candidate directions modulo S
-        cq = EchelonBasis(space, v)
-        for w in cand:
-            w = S.reduce(w)
-            if w.any():
-                cq.insert(w)
-        dirs = cq.basis_matrix()
-        c = cq.dim
-        for rep in _projective_tuples(c, q):
-            w = space.zeros(v)
-            for t, coef in enumerate(rep):
-                if coef:
-                    w = space.add(w, space.mul(dirs[t], coef))
-            node = S.copy()
-            stack = [w]
-            while stack:
-                x = stack.pop()
-                if node.insert(np.array(x)):
-                    for M in Q.ops:
-                        stack.append(space.mat_vec(M, x))
-            key = node.key()
-            if key not in seen:
+        ann = space.right_nullspace(B) if S.dim else eye
+        base = [space.matmul(ann, P)]
+        base += [space.matmul(B, H) for H in sheets] if S.dim else []
+        for gT in slices or [None]:
+            rows = base if gT is None else base + [space.matmul(ann, gT)]
+            cand = space.right_nullspace(np.concatenate(rows, axis=0))
+            # echelonize the candidate directions modulo S
+            cq = EchelonBasis(space, dim)
+            for w in cand:
+                w = S.reduce(w)
+                if w.any():
+                    cq.insert(w)
+            if not cq.dim:
+                continue
+            reps = space.arr(list(_projective_tuples(cq.dim, q)))
+            lines = space.matmul(reps, cq.basis_matrix())
+            # necessary isotropy of the new line, batched over all sheets
+            mask = np.ones(len(lines), dtype=bool)
+            for H in sheets:
+                mask &= space.dots(space.matmul(lines, H), lines) == 0
+            for w in lines[mask]:
+                node = S.copy()
+                stack = [w]
+                while stack:
+                    x = stack.pop()
+                    if node.insert(np.array(x)):
+                        for M in ops:
+                            stack.append(space.mat_vec(M, x))
+                if node.dim > top:
+                    continue
+                key = node.key()
+                if key in seen:
+                    continue
                 if len(seen) >= cap:
                     raise BudgetExceeded(
-                        f"stable-submodule walk passed {cap} nodes",
-                        estimate=2 * cap)
+                        f"subspace walk passed {cap} nodes", estimate=2 * cap)
                 seen.add(key)
-                frontier.append(node)
-                out.append(node)
+                if _is_isotropic(space, node.basis_matrix(), sheets):
+                    frontier.append(node)
+                    out.append(node)
     return out
+
+
+def _is_isotropic(space, W, sheets):
+    return not any(space.matmul(space.matmul(W, H), W.T).any() for H in sheets)
 
 
 def _projective_tuples(c, q):
@@ -289,6 +302,16 @@ def _projective_tuples(c, q):
                 break
 
 
+def stable_submodules(Q, max_v=DEFAULT_MAX_V):
+    """All submodules of Q stable under Q.ops, as canonical echelon bases."""
+    v = Q.v
+    if v > max_v:
+        raise BudgetExceeded(
+            f"quotient dimension {v} exceeds the enumeration budget {max_v}",
+            estimate=gaussian_binomial(v, v // 2, Q.space.k.q))
+    return walk(Q.space, v, Q.P_op, Q.ops[1:])
+
+
 def enumerate_stable_submodules(Q, max_v=DEFAULT_MAX_V):
     """Counts m_i = #{stable S with dim(Q/S) = i}, i = 0..v."""
     m = [0] * (Q.v + 1)
@@ -302,20 +325,18 @@ def torsion_dual(Q, S):
     """Orthogonal complement under the torsion pairing; an involution."""
     space = Q.space
     v = Q.v
-    basis = S.basis if isinstance(S, Submodule) else S.basis_matrix()
-    dim = len(basis)
-    if dim == 0:
+    basis = S.basis_matrix()
+    if S.dim == 0:
         rows = space.arr(np.eye(v, dtype=np.int64))
     else:
         # stack <x, .> over every basis x and every principal part
-        sheets = [space.matmul(space.arr(basis), Q.pairing[r]) for r in range(v)]
-        stacked = np.concatenate(sheets, axis=0) if sheets else space.zeros((0, v))
-        rows = space.right_nullspace(stacked)
+        sheets = [space.matmul(basis, Q.pairing[r]) for r in range(v)]
+        rows = space.right_nullspace(np.concatenate(sheets, axis=0))
     eb = EchelonBasis(space, v)
     for w in rows:
         eb.insert(w)
-    assert eb.dim == v - dim
-    return Submodule(eb.basis_matrix(), v - eb.dim)
+    assert eb.dim == v - S.dim
+    return eb
 
 
 def signed_sum(m, desc):

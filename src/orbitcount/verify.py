@@ -4,8 +4,10 @@ The headline check: for strongly regular invariants (a, b) the signed
 count of stable submodules equals the self-dual count whenever eta(Delta)
 is +1, and both vanish when it is -1.  Everything here either assembles
 that verdict, predicts it in closed form on certified DVR families, or
-recounts it by slow exhaustive scans that share no code with the fast
-enumerators.
+recounts it.  The naive scans share no code with the fast enumerators.
+The matrix oracle starts from a raw matrix instead of invariants, but
+lists its candidate lattices with the same subspace walk, so the naive
+scan is what checks that walk.
 """
 
 import random
@@ -13,19 +15,20 @@ import time
 
 import numpy as np
 
-from .errors import (BudgetExceeded, Indeterminate, NotStronglyRegular,
-                     PrecisionExhausted, SchemaError, TargetUnreachable)
+from .errors import (BudgetExceeded, Indeterminate, InvariantViolation,
+                     NotStronglyRegular, PrecisionExhausted, SchemaError,
+                     TargetUnreachable)
 from .group_ring import build_group_order, group_counts, lie_transport
 from .hermitian import build_hermitian_quotient, count_selfdual
 from .invariants import (InvariantPair, MatrixE, invariants_of,
                          strong_regularity, v_invariant)
-from .kspace import (EchelonBasis, KSpace, batch_form_vanishes,
-                     batch_stable_mask, gaussian_binomial, iter_rref_bases)
+from .kspace import (KSpace, batch_form_vanishes, batch_stable_mask,
+                     gaussian_binomial, iter_rref_bases)
 from .local_field import (EElem, TruncSeries, eelem_from_obj, eelem_to_obj,
-                          field_desc, sigma_and_imaginary)
-from .order_lattices import (DEFAULT_MAX_V, _node_budget, _projective_tuples,
-                             build_order, build_quotient,
-                             enumerate_stable_submodules, signed_sum)
+                          field_desc, imaginary_unit)
+from .order_lattices import (DEFAULT_MAX_V, _node_budget, build_order,
+                             build_quotient, enumerate_stable_submodules,
+                             signed_sum, walk)
 
 SCHEMA_VERSION = 1
 PRECISION_CAP = 256
@@ -99,43 +102,53 @@ def _eta_of_val(v, desc):
     return 1 if v % 2 == 0 else -1
 
 
+def escalate_precision(build, precision):
+    """(build(N), N) for the first working precision N that resolves.
+
+    N starts at precision and doubles on PrecisionExhausted /
+    Indeterminate, or jumps to the raised hint when that is larger, up
+    to PRECISION_CAP.  Exact inputs always converge this way; truncated
+    inputs that are genuinely too shallow keep raising and eventually
+    surface the original error.
+    """
+    N = precision
+    while True:
+        try:
+            return build(N), N
+        except (PrecisionExhausted, Indeterminate) as exc:
+            bumped = max(2 * N, exc.needed or 0)
+            if bumped > PRECISION_CAP:
+                raise
+            N = bumped
+
+
 def verify_count_identity(ab, precision=None, max_v=None):
     """Full pipeline verdict for a Lie-algebra invariant pair.
 
-    Working precision starts at 2n+4 (or the explicit override) and
-    doubles on PrecisionExhausted / Indeterminate, following the raised
-    hint, up to a hard cap.  Exact inputs always converge this way;
-    truncated inputs that are genuinely too shallow keep raising and
-    eventually surface the original error.
+    The order is built once; the quotients and both counts are built at
+    a working precision that starts at 2n+4 (or the explicit override)
+    and escalates as escalate_precision describes.
     """
     t0 = time.monotonic()
     desc = ab.desc
     n = ab.n
     cap = DEFAULT_MAX_V if max_v is None else max_v
-    N = precision if precision is not None else auto_precision(n)
-    while True:
-        try:
-            reg = strong_regularity(ab)
-            if not reg.strongly_regular:
-                raise NotStronglyRegular(
-                    "instance is not strongly regular "
-                    f"(val disc={reg.val_disc}, val Delta={reg.val_delta})")
-            order = build_order(ab)
-            Q = build_quotient(order, N)
-            m = enumerate_stable_submodules(Q, max_v=cap)
-            QE = build_hermitian_quotient(order, desc, N, fq=Q)
-            Ncnt = count_selfdual(QE, max_v=cap)
-            break
-        except (PrecisionExhausted, Indeterminate) as exc:
-            bumped = max(2 * N, exc.needed if exc.needed else 0)
-            if bumped > PRECISION_CAP:
-                raise
-            N = bumped
+    order = build_order(ab)
+
+    def counts(N):
+        Q = build_quotient(order, N)
+        m = enumerate_stable_submodules(Q, max_v=cap)
+        QE = build_hermitian_quotient(order, desc, N, fq=Q)
+        return m, count_selfdual(QE, max_v=cap)
+
+    (m, Ncnt), N = escalate_precision(
+        counts, precision if precision is not None else auto_precision(n))
     flags = []
     if desc.p <= n:
         flags.append("outside_proven_range")
+    v = order.val_delta
     wall = int((time.monotonic() - t0) * 1000)
-    return Verdict(n, desc.q, desc.ext, "lie", reg.val_delta, reg.eta_delta,
+    return Verdict(n, desc.q, desc.ext, "lie", v, _eta_of_val(v, desc),
                    m, signed_sum(m, desc), Ncnt, flags, N, wall)
 
 
@@ -145,17 +158,14 @@ def verify_group_identity(ab, precision=None, max_v=None):
     desc = ab.desc
     n = ab.n
     cap = DEFAULT_MAX_V if max_v is None else max_v
-    N = precision if precision is not None else auto_precision(n)
-    while True:
-        try:
-            order = build_group_order(ab, N)
-            m, Ncnt, _ = group_counts(order, N, max_v=cap)
-            break
-        except (PrecisionExhausted, Indeterminate) as exc:
-            bumped = max(2 * N, exc.needed if exc.needed else 0)
-            if bumped > PRECISION_CAP:
-                raise
-            N = bumped
+
+    def counts(N):
+        order = build_group_order(ab, N)
+        m, Ncnt, _ = group_counts(order, N, max_v=cap)
+        return order, m, Ncnt
+
+    (order, m, Ncnt), N = escalate_precision(
+        counts, precision if precision is not None else auto_precision(n))
     flags = []
     if desc.p <= n:
         flags.append("outside_proven_range")
@@ -230,75 +240,28 @@ def naive_subspace_oracle(Q):
     return m
 
 
-def _pi_stable_subspaces(space, cdim, P):
-    """All P-stable subspaces of k^cdim, P the nilpotent pi-shift.
-
-    Same upward walk as the stable-submodule enumerator: extensions of a
-    known stable S come from lines of {w : P w in S} modulo S, and the
-    single operator P needs no closure pass since P w already lands
-    inside S.
-    """
-    budget = _node_budget()
-    q = space.k.q
-    seed = EchelonBasis(space, cdim)
-    seen = {seed.key()}
-    stack = [seed]
-    out = []
-    while stack:
-        S = stack.pop()
-        out.append(S)
-        if S.dim == cdim:
-            continue
-        B = S.basis_matrix()
-        ann = (space.right_nullspace(B) if S.dim
-               else space.arr(np.eye(cdim, dtype=np.int64)))
-        cand = space.right_nullspace(space.matmul(ann, P))
-        cq = EchelonBasis(space, cdim)
-        for w in cand:
-            w = S.reduce(w)
-            if w.any():
-                cq.insert(w)
-        dirs = cq.basis_matrix()
-        for rep in _projective_tuples(cq.dim, q):
-            w = space.zeros(cdim)
-            for t, coef in enumerate(rep):
-                if coef:
-                    w = space.add(w, space.mul(dirs[t], coef))
-            node = S.copy()
-            node.insert(w)
-            key = node.key()
-            if key not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceeded(
-                        f"lattice scan passed {budget} nodes",
-                        estimate=2 * budget)
-                seen.add(key)
-                stack.append(node)
-    return out
-
-
 def matrix_orbit_oracle(A, max_v=None):
-    """Independent lattice scan matching bucket counts against m.
+    """Lattice scan from a raw matrix, matching bucket counts against m.
 
     Enumerates O_F-lattices L in the first n-1 coordinates such that
     L_E + O_E e0 is A-stable, buckets them by the relative length
     leng(L : O_F^(n-1)), and checks #X_i = m_(v(A)-i) bucket by bucket
-    against the stable-submodule counts of A's invariants.  For n = 2
-    the lattices form a single chain and the scan window is derived
-    exactly from the two off-diagonal entries; for n >= 3 the scan
-    covers the sandwich pi^M W <= L <= pi^-M W with M = val Delta,
-    which requires A integral.  Returns {length: count}.
+    against the stable-submodule counts of A's invariants, raising
+    InvariantViolation on any mismatch.  For n = 2 the lattices form a
+    single chain and the scan window is derived exactly from the two
+    off-diagonal entries; for n >= 3 the scan covers the sandwich
+    pi^M W <= L <= pi^-M W with M = val Delta, which requires A
+    integral, and lists the candidate L with the same subspace walk as
+    the fast count (the naive scan is the check on that walk).
+    Returns {length: count}.
     """
     desc = A.desc
     n = A.n
     ab = invariants_of(A)
-    reg = strong_regularity(ab)
-    if not reg.strongly_regular:
-        raise NotStronglyRegular("matrix is not strongly regular")
     vA = v_invariant(A)
     verdict = verify_count_identity(ab, max_v=max_v)
     m = verdict.m
-    vd = reg.val_delta
+    vd = verdict.v
 
     buckets = {}
     if n == 2:
@@ -332,7 +295,7 @@ def matrix_orbit_oracle(A, max_v=None):
             for f in range(2 * M - 1):
                 P[i * 2 * M + f + 1][i * 2 * M + f] = 1
         P = space.arr(P)
-        for S in _pi_stable_subspaces(space, cdim, P):
+        for S in walk(space, cdim, P, []):
             gens = []
             for row in S.basis_matrix():
                 vec = []
@@ -377,12 +340,16 @@ def matrix_orbit_oracle(A, max_v=None):
                 buckets[length] = buckets.get(length, 0) + 1
 
     # bucket-by-bucket agreement with the fast pipeline
-    total = 0
     for i, cnt in buckets.items():
         want = m[vA - i] if 0 <= vA - i <= vd else 0
-        assert cnt == want, (i, cnt, want)
-        total += cnt
-    assert total == sum(m), (total, sum(m))
+        if cnt != want:
+            raise InvariantViolation(
+                f"matrix oracle: {cnt} lattices at length {i}, "
+                f"but m_{vA - i} = {want}")
+    if sum(buckets.values()) != sum(m):
+        raise InvariantViolation(
+            f"matrix oracle: {sum(buckets.values())} lattices in all, "
+            f"but the m_i sum to {sum(m)}")
     return buckets
 
 
@@ -488,10 +455,10 @@ def rand_invariants(n, desc, target_val_delta=None, seed=0, family="generic"):
     """
     k = desc.k
     one = EElem.one(desc)
-    _, ju = sigma_and_imaginary(desc)
+    j = imaginary_unit(desc)
     jp = [one]
     for _ in range(n):
-        jp.append(jp[-1] * ju.elem)
+        jp.append(jp[-1] * j)
     rng = random.Random(f"inv:{seed}:{n}:{desc.q}:{desc.ext}:"
                         f"{family}:{target_val_delta}")
     deg = 2 + (target_val_delta or 0)

@@ -11,11 +11,11 @@ import time
 import pytest
 from hypothesis import settings
 
-from orbitcount.errors import Indeterminate, PrecisionExhausted
 from orbitcount.hermitian import build_hermitian_quotient
 from orbitcount.local_field import field_desc
 from orbitcount.order_lattices import build_order, build_quotient
-from orbitcount.verify import auto_precision, rand_invariants, sweep
+from orbitcount.verify import (auto_precision, escalate_precision,
+                               rand_invariants, sweep)
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
@@ -66,14 +66,11 @@ def base_precision(n, v):
 def build_pipeline(ab):
     """(order, quotient, hermitian quotient, precision) as the verifier
     would build them, including its doubling-on-exhaustion policy."""
-    P = auto_precision(ab.n)
-    while True:
-        try:
-            order = build_order(ab)
-            Q = build_quotient(order, P)
-            QE = build_hermitian_quotient(order, ab.desc, P, fq=Q)
-            return order, Q, QE, P
-        except (PrecisionExhausted, Indeterminate) as exc:
-            bumped = max(2 * P, exc.needed or 0)
-            assert bumped <= 256
-            P = bumped
+    order = build_order(ab)
+
+    def build(P):
+        Q = build_quotient(order, P)
+        return Q, build_hermitian_quotient(order, ab.desc, P, fq=Q)
+
+    (Q, QE), P = escalate_precision(build, auto_precision(ab.n))
+    return order, Q, QE, P

@@ -219,10 +219,10 @@ def _structure_violations(r):
     if v and sum(row_m(r)) <= 200:
         for S in stable_submodules(Q):
             dual = torsion_dual(Q, S)
-            if len(dual.basis) != v - S.dim:
+            if dual.dim != v - S.dim:
                 bad.append("dual dimension off")
             back = torsion_dual(Q, dual)
-            if not np.array_equal(back.basis, S.basis_matrix()):
+            if not np.array_equal(back.basis_matrix(), S.basis_matrix()):
                 bad.append("duality not involutive")
 
     spe = QE.space

@@ -115,6 +115,17 @@ def test_echelon_basis_canonical():
     assert eb.contains(sp.sub(np.array([1, 0, 0, 0]), red))
 
 
+def test_echelon_key_distinguishes_lines_past_int8():
+    # 256 and 0 agree modulo 2^8, so a byte-wide key would merge these
+    sp = KSpace(gf_by_order(257))
+    keys = set()
+    for row in ([1, 0], [1, 256]):
+        eb = EchelonBasis(sp, 2)
+        eb.insert(np.array(row))
+        keys.add(eb.key())
+    assert len(keys) == 2
+
+
 @pytest.mark.parametrize("q,n,d", [(3, 4, 2), (3, 3, 1), (5, 3, 2), (9, 2, 1)])
 def test_rref_enumeration_count(q, n, d):
     sp = KSpace(gf_by_order(q))

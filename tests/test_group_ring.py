@@ -2,15 +2,15 @@
 
 import pytest
 
-from orbitcount.errors import (GroupConstraintViolated, Indeterminate,
-                               NotStronglyRegular, PrecisionExhausted,
+from orbitcount.errors import (GroupConstraintViolated, NotStronglyRegular,
                                SchemaError)
 from orbitcount.group_ring import build_group_order, group_counts, lie_transport
 from orbitcount.invariants import InvariantPair
 from orbitcount.local_field import (EElem, TruncSeries, field_desc,
-                                    sigma_and_imaginary)
+                                    imaginary_unit)
 from orbitcount.verify import (_norm_one_constants, auto_precision,
-                               rand_group_instance, verify_count_identity)
+                               escalate_precision, rand_group_instance,
+                               verify_count_identity)
 
 inert3 = field_desc(3, "inert")
 split3 = field_desc(3, "split")
@@ -18,15 +18,12 @@ split3 = field_desc(3, "split")
 
 def _group_pipeline(ab):
     # same escalation policy as the driver, returning the built order too
-    N = auto_precision(ab.n)
-    while True:
-        try:
-            order = build_group_order(ab, N)
-            m, Ncnt, _ = group_counts(order, N)
-            return order, m, Ncnt
-        except (Indeterminate, PrecisionExhausted) as exc:
-            N = max(2 * N, exc.needed or 0)
-            assert N <= 256
+    def build(N):
+        order = build_group_order(ab, N)
+        m, Ncnt, _ = group_counts(order, N)
+        return order, m, Ncnt
+
+    return escalate_precision(build, auto_precision(ab.n))[0]
 
 
 def test_norm_one_constants():
@@ -98,8 +95,7 @@ def test_rejects_theta_unstable_coefficients():
     g = _norm_one_constants(inert3)[1]
     one = EElem.one(inert3)
     zero = EElem.zero(inert3)
-    _, ju = sigma_and_imaginary(inert3)
-    bad_a1 = ju.elem
+    bad_a1 = imaginary_unit(inert3)
     assert not (g * bad_a1.sigma()).agrees_with(bad_a1)
     with pytest.raises(GroupConstraintViolated, match="theta"):
         build_group_order(InvariantPair([bad_a1, g], [one, zero], inert3), 8)
@@ -107,9 +103,9 @@ def test_rejects_theta_unstable_coefficients():
 
 def test_rejects_incompatible_moments():
     g = _norm_one_constants(inert3)[1]
-    _, ju = sigma_and_imaginary(inert3)
+    j = imaginary_unit(inert3)
     with pytest.raises(GroupConstraintViolated, match="b incompatible"):
-        build_group_order(InvariantPair([g], [ju.elem], inert3), 8)
+        build_group_order(InvariantPair([g], [j], inert3), 8)
 
 
 def test_rejects_repeated_roots():

@@ -6,14 +6,14 @@ import pytest
 from orbitcount.errors import BudgetExceeded, TargetUnreachable
 from orbitcount.gf import gf_by_order
 from orbitcount.hermitian import (_distinct_irreducible_factors,
-                                  _is_isotropic, _matrix_min_poly,
-                                  _poly_apply, _poly_divmod,
+                                  _matrix_min_poly, _poly_apply, _poly_divmod,
                                   build_hermitian_quotient, count_selfdual,
                                   selfdual_submodules, split_factor_check)
 from orbitcount.invariants import InvariantPair
 from orbitcount.kspace import KSpace
 from orbitcount.local_field import EElem, TruncSeries, field_desc
-from orbitcount.order_lattices import (build_order, build_quotient,
+from orbitcount.order_lattices import (_is_isotropic, build_order,
+                                       build_quotient,
                                        enumerate_stable_submodules)
 from orbitcount.verify import rand_invariants
 
@@ -57,7 +57,8 @@ def test_selfdual_nodes_are_stable_isotropic():
     for S in selfdual_submodules(QE):
         assert S.dim == QE.v
         W = S.basis_matrix()
-        assert _is_isotropic(QE, W)
+        sheets = list(QE.herm_re) + list(QE.herm_im)
+        assert _is_isotropic(sp, W, sheets)
         for M in QE.ops:
             for row in W:
                 assert S.contains(sp.mat_vec(M, row))

@@ -10,7 +10,7 @@ from orbitcount.invariants import (InvariantPair, MatrixE, delta_invariant,
                                    strong_regularity, v_invariant,
                                    variant_transport)
 from orbitcount.local_field import (EElem, TruncSeries, field_desc,
-                                    sigma_and_imaginary)
+                                    imaginary_unit)
 from orbitcount.verify import rand_invariants
 
 inert3 = field_desc(3, "inert")
@@ -18,7 +18,7 @@ split3 = field_desc(3, "split")
 
 
 def _j(desc):
-    return sigma_and_imaginary(desc)[1].elem
+    return imaginary_unit(desc)
 
 
 def _pi_pair(desc, e):

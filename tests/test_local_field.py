@@ -10,7 +10,7 @@ from orbitcount.errors import (EtaUndefined, NotAUnit, PrecisionExhausted,
 from orbitcount.gf import gf_by_order, is_prime
 from orbitcount.local_field import (EElem, TruncSeries, eelem_from_obj,
                                     eelem_to_obj, eta, field_desc,
-                                    sigma_and_imaginary, valuation_and_eta)
+                                    imaginary_unit, valuation_and_eta)
 
 k3 = gf_by_order(3)
 inert3 = field_desc(3, "inert")
@@ -106,8 +106,7 @@ def test_series_val_additive(x, y):
 
 @pytest.mark.parametrize("desc", [inert3, split3])
 def test_sigma_involution(desc):
-    _, ju = sigma_and_imaginary(desc)
-    j = ju.elem
+    j = imaginary_unit(desc)
     assert j.sigma().agrees_with(-j)
     d = TruncSeries.const(desc.k, desc.jsq)
     assert (j * j).agrees_with(EElem.from_real(desc, d))

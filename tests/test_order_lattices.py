@@ -5,13 +5,14 @@ import pytest
 
 from orbitcount.errors import (BudgetExceeded, NotStronglyRegular,
                                PrecisionExhausted, TargetUnreachable)
+from orbitcount.gf import gf_by_order
 from orbitcount.invariants import InvariantPair
-from orbitcount.kspace import batch_stable_mask, iter_rref_bases
+from orbitcount.kspace import KSpace, batch_stable_mask, iter_rref_bases
 from orbitcount.local_field import EElem, TruncSeries, field_desc
 from orbitcount.order_lattices import (build_order, build_quotient,
                                        enumerate_stable_submodules,
                                        signed_sum, stable_submodules,
-                                       torsion_dual)
+                                       torsion_dual, walk)
 from orbitcount.verify import rand_invariants
 
 inert3 = field_desc(3, "inert")
@@ -118,6 +119,28 @@ def test_counts_match_naive_scan():
                 assert m[0] == 1 and m[-1] == 1
 
 
+@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("blocks", [(3,), (2, 1), (2, 2)])
+def test_walk_matches_rref_scan(q, blocks):
+    # P is a nilpotent shift with the given Jordan blocks; the scan keeps
+    # every echelon basis whose span P maps into itself
+    sp = KSpace(gf_by_order(q))
+    dim = sum(blocks)
+    P = sp.zeros((dim, dim))
+    at = 0
+    for size in blocks:
+        for i in range(size - 1):
+            P[at + i + 1, at + i] = 1
+        at += size
+    found = [0] * (dim + 1)
+    for S in walk(sp, dim, P, []):
+        found[S.dim] += 1
+    scanned = [sum(int(batch_stable_mask(sp, W, piv, P).sum())
+                   for W, piv in iter_rref_bases(sp, dim, d))
+               for d in range(dim + 1)]
+    assert found == scanned
+
+
 def test_torsion_duality_involution():
     ab = rand_invariants(2, inert3, target_val_delta=4, seed=9)
     Q = build_quotient(build_order(ab), 12)
@@ -125,9 +148,9 @@ def test_torsion_duality_involution():
     assert len(subs) == sum(enumerate_stable_submodules(Q))
     for S in subs:
         dual = torsion_dual(Q, S)
-        assert len(dual.basis) == Q.v - S.dim
+        assert dual.dim == Q.v - S.dim
         back = torsion_dual(Q, dual)
-        assert np.array_equal(back.basis, S.basis_matrix())
+        assert np.array_equal(back.basis_matrix(), S.basis_matrix())
 
 
 def test_pairing_perfect_and_equivariant():

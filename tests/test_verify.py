@@ -1,9 +1,13 @@
 """Driver-level checks: verdicts, closed forms, samplers, oracles."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import orbitcount
 from orbitcount.errors import BudgetExceeded, SchemaError, TargetUnreachable
 from orbitcount.invariants import InvariantPair, invariants_of, strong_regularity
 from orbitcount.local_field import EElem, TruncSeries, field_desc
@@ -237,8 +241,39 @@ def test_matrix_oracle_two_by_two():
 
 
 def test_matrix_oracle_three_by_three():
-    # the oracle asserts bucket-by-bucket agreement internally
+    # the oracle checks bucket-by-bucket agreement internally
     for seed in (1, 5):
         A = rand_sn_matrix(3, inert5, seed=seed, max_val_delta=2)
         buckets = matrix_orbit_oracle(A)
         assert sum(buckets.values()) >= 1
+
+
+# Feeds the matrix oracle bucket counts that are one too high everywhere;
+# prints __debug__ so the test can tell that -O really stripped asserts.
+CORRUPT_M = """
+import orbitcount.verify as verify
+from orbitcount.errors import InvariantViolation
+from orbitcount.local_field import field_desc
+real = verify.enumerate_stable_submodules
+verify.enumerate_stable_submodules = (
+    lambda Q, max_v: [c + 1 for c in real(Q, max_v=max_v)])
+print(__debug__)
+A = verify.rand_sn_matrix(2, field_desc(3, "inert"), seed=0)
+try:
+    verify.matrix_orbit_oracle(A)
+except InvariantViolation as exc:
+    print(exc)
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+@pytest.mark.parametrize("flags,debug", [([], "True"), (["-O"], "False")])
+def test_matrix_oracle_rejects_wrong_counts(flags, debug):
+    src = os.path.dirname(os.path.dirname(orbitcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", CORRUPT_M], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split("\n")[0] == debug
+    assert "matrix oracle" in proc.stdout

@@ -81,3 +81,9 @@ class SchemaError(OrbitCountError):
     def __init__(self, field, msg):
         super().__init__(f"{field}: {msg}")
         self.field = field
+
+
+def require(ok, what):
+    """Raise InvariantViolation(what) unless ok: an assert that -O keeps."""
+    if not ok:
+        raise InvariantViolation(what)

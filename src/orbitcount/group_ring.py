@@ -329,7 +329,8 @@ def group_counts(order, N, max_v=None):
     from .order_lattices import (DEFAULT_MAX_V, enumerate_stable_submodules,
                                  quotient_from_gram)
     budget = DEFAULT_MAX_V if max_v is None else max_v
-    Q = quotient_from_gram(order.G, order.mult_ops, N, order.val_delta, order.desc)
+    # R = O_F[s], so stability under s is stability under R
+    Q = quotient_from_gram(order.G, [order.T_gen], N, order.val_delta, order.desc)
     m = enumerate_stable_submodules(Q, max_v=budget)
     QE = build_hermitian_quotient(None, order.desc, N, fq=Q)
     Ncount = count_selfdual(QE, max_v=budget)

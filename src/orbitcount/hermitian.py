@@ -12,17 +12,31 @@ kernel serves both the inert and split cases.  Self-dual lattices are
 exactly the stable isotropic subspaces of dimension v.  They are found
 by order_lattices.walk, the walk behind the general-linear count, given
 the component forms as sheets (which prunes it to isotropic nodes:
-every chain inside a self-dual lattice stays isotropic) and one slice
-per irreducible factor of the minimal polynomial of T.  The small
-F_q[x] helpers here find those factors.  split_factor_check rechecks
-split instances through the bijection with all stable submodules.
+every chain inside a self-dual lattice stays isotropic) and the slices
+of Q carried over to Q_E, where T acts as T + T and J as the scalar j.
+
+Each step of the walk adds a simple module, which is a line over a
+residue field of k[T, J], so walking those lines finds every self-dual
+lattice (the walk's docstring has the argument).  For an irreducible
+factor g of T's minimal polynomial, of degree f, k[T, J]/(g(T), J^2 - d)
+is F[J]/(J^2 - d) with F = k[T]/(g).  When d is a square r(T)^2 in F
+(always when split, where d = 1; when inert, exactly when f is even) it
+is two copies of F, cut apart by J - r(T) and J + r(T), and each gives
+a slice with basis T^a, a < f.  Otherwise (inert, f odd) it is the
+field F_(q^2f), one slice with basis T^a J^b.  The walk checks that
+every closed line grows by exactly the degree of its slice, so a T that
+does not generate the ring modulo pi raises InvariantViolation instead
+of losing lattices.  split_factor_check
+rechecks split instances through the bijection with all stable
+submodules.
 """
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, require
 from .kspace import EchelonBasis
-from .order_lattices import (DEFAULT_MAX_V, build_quotient, gaussian_binomial,
+from .order_lattices import (DEFAULT_MAX_V, _poly_apply, _sqrt_mod,
+                             build_quotient, gaussian_binomial,
                              stable_submodules, torsion_dual, walk)
 
 
@@ -37,9 +51,10 @@ class HermQuotient:
     """
 
     __slots__ = ("v", "dim", "space", "P_op", "T_op", "J_op", "ops",
-                 "herm_re", "herm_im", "desc")
+                 "herm_re", "herm_im", "desc", "slices")
 
-    def __init__(self, v, space, P_op, T_op, J_op, ops, herm_re, herm_im, desc):
+    def __init__(self, v, space, P_op, T_op, J_op, ops, herm_re, herm_im,
+                 desc, slices):
         self.v = v
         self.dim = 2 * v
         self.space = space
@@ -50,6 +65,7 @@ class HermQuotient:
         self.herm_re = herm_re
         self.herm_im = herm_im
         self.desc = desc
+        self.slices = slices
 
 
 def _block2(space, a, b, c, d, v):
@@ -68,9 +84,13 @@ def build_hermitian_quotient(order, desc, N, fq=None):
     v = Q.v
     d = desc.jsq
     zero = space.zeros((v, v))
-    lifted = [_block2(space, M, zero, zero, M, v) for M in Q.ops]
+
+    def lift(M):
+        return _block2(space, M, zero, zero, M, v)
+
+    lifted = [lift(M) for M in Q.ops]
     P2 = lifted[0]
-    T2 = _block2(space, Q.T_op, zero, zero, Q.T_op, v)
+    T2 = lift(Q.T_op)
     eye = space.arr(np.eye(v, dtype=np.int64))
     J2 = _block2(space, zero, space.mul(eye, d), eye, zero, v)
     herm_re = space.zeros((v, 2 * v, 2 * v))
@@ -80,98 +100,39 @@ def build_hermitian_quotient(order, desc, N, fq=None):
         herm_re[r] = _block2(space, B, zero, zero, space.neg(space.mul(B, d)), v)
         herm_im[r] = _block2(space, zero, space.neg(B), B, zero, v)
         # Hermitian symmetry and sesquilinearity in component form
-        assert np.array_equal(herm_re[r], herm_re[r].T)
-        assert np.array_equal(herm_im[r], space.neg(herm_im[r].T))
-        assert np.array_equal(space.matmul(J2.T, herm_re[r]), space.mul(herm_im[r], d))
-        assert np.array_equal(space.matmul(J2.T, herm_im[r]), herm_re[r])
-        assert np.array_equal(space.matmul(herm_re[r], J2), space.neg(space.mul(herm_im[r], d)))
-        assert np.array_equal(space.matmul(herm_im[r], J2), space.neg(herm_re[r]))
+        Hre, Him = herm_re[r], herm_im[r]
+        require(np.array_equal(Hre, Hre.T)
+                and np.array_equal(Him, space.neg(Him.T)),
+                "Hermitian sheets are not (anti)symmetric")
+        dHim = space.mul(Him, d)
+        require(np.array_equal(space.matmul(J2.T, Hre), dHim)
+                and np.array_equal(space.matmul(J2.T, Him), Hre)
+                and np.array_equal(space.matmul(Hre, J2), space.neg(dHim))
+                and np.array_equal(space.matmul(Him, J2), space.neg(Hre)),
+                "Hermitian form is not sesquilinear in j")
         for M in lifted:
-            assert np.array_equal(space.matmul(M.T, herm_re[r]), space.matmul(herm_re[r], M))
-            assert np.array_equal(space.matmul(M.T, herm_im[r]), space.matmul(herm_im[r], M))
+            require(all(np.array_equal(space.matmul(M.T, H),
+                                       space.matmul(H, M))
+                        for H in (Hre, Him)),
+                    "Hermitian form is not equivariant")
     if v:
         stacked = np.concatenate([herm_re.reshape(v * 2 * v, 2 * v),
                                   herm_im.reshape(v * 2 * v, 2 * v)], axis=0)
-        assert space.rank(stacked) == 2 * v
-    return HermQuotient(v, space, P2, T2, J2, lifted + [J2], herm_re, herm_im, desc)
+        require(space.rank(stacked) == 2 * v, "Hermitian form is not perfect")
 
-
-def _poly_divmod(num, den, k):
-    # little-endian coefficient lists of field element indices, den monic
-    num = list(num)
-    inv_lead = k.inv[den[-1]]
-    quot = [0] * max(len(num) - len(den) + 1, 0)
-    for i in range(len(num) - len(den), -1, -1):
-        c = k.mul[num[i + len(den) - 1]][inv_lead]
-        if c:
-            quot[i] = c
-            for j, d in enumerate(den):
-                num[i + j] = k.sub[num[i + j]][k.mul[c][d]]
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _matrix_min_poly(space, M):
-    """Monic minimal polynomial of M over k, little-endian."""
-    k = space.k
-    dim = len(M)
-    flats = [np.ravel(space.arr(np.eye(dim, dtype=np.int64)))]
-    power = space.arr(np.eye(dim, dtype=np.int64))
-    for _ in range(dim):
-        power = space.matmul(power, M)
-        flats.append(np.ravel(power))
-        rel = space.right_nullspace(np.stack(flats).T)
-        if len(rel):
-            c = rel[0]
-            inv_lead = k.inv[int(c[-1])]
-            return [k.mul[int(x)][inv_lead] for x in c]
-    raise AssertionError("no annihilating polynomial up to the dimension")
-
-
-def _distinct_irreducible_factors(k, poly):
-    """Distinct monic irreducible factors, by smallest-divisor trial division."""
-    from itertools import product
-    out = []
-    rest = list(poly)
-    while len(rest) > 1:
-        deg = len(rest) - 1
-        found = None
-        for e in range(1, deg // 2 + 1):
-            for tail in product(range(k.q), repeat=e):
-                den = list(tail) + [1]
-                quot, rem = _poly_divmod(rest, den, k)
-                if not rem:
-                    found = (den, quot)
-                    break
-            if found:
-                break
-        if found is None:
-            # no proper divisor of low degree, so the rest is irreducible
-            inv_lead = k.inv[rest[-1]]
-            den = [k.mul[c][inv_lead] for c in rest]
-            found = (den, [1])
-        den, rest = found
-        if den not in out:
-            out.append(den)
-        # strip any repeated copies of this factor
-        while True:
-            quot, rem = _poly_divmod(rest, den, k)
-            if rem:
-                break
-            rest = quot
-    return out
-
-
-def _poly_apply(space, poly, M):
-    dim = len(M)
-    eye = space.arr(np.eye(dim, dtype=np.int64))
-    out = space.zeros((dim, dim))
-    for c in reversed(poly):
-        out = space.matmul(out, M)
-        if c:
-            out = space.add(out, space.mul(eye, int(c)))
-    return out
+    slices = []
+    for g, (cuts, powers) in zip(Q.factors, Q.slices):
+        cuts = [lift(C) for C in cuts]
+        basis = [lift(M) for M in powers]
+        r = _sqrt_mod(d, g, space.k)
+        if r is None:
+            slices.append((cuts, basis + [space.matmul(J2, M) for M in basis]))
+        else:
+            R = lift(_poly_apply(space, r, Q.T_op))
+            slices += [(cuts + [space.sub(J2, R)], basis),
+                       (cuts + [space.add(J2, R)], basis)]
+    return HermQuotient(v, space, P2, T2, J2, lifted + [J2], herm_re, herm_im,
+                        desc, slices)
 
 
 def selfdual_submodules(QE, max_v=DEFAULT_MAX_V):
@@ -179,8 +140,7 @@ def selfdual_submodules(QE, max_v=DEFAULT_MAX_V):
 
     Self-dual means stable and isotropic of dimension exactly v.  The
     subspace walk runs with the Hermitian sheets, so it keeps isotropic
-    nodes only, and with one slice per irreducible factor of the
-    minimal polynomial of T.
+    nodes only, and with the slices of Q_E.
     """
     v = QE.v
     space = QE.space
@@ -188,11 +148,8 @@ def selfdual_submodules(QE, max_v=DEFAULT_MAX_V):
         raise BudgetExceeded(
             f"quotient dimension {v} exceeds the enumeration budget {max_v}",
             estimate=gaussian_binomial(2 * v, v, space.k.q))
-    slices = [_poly_apply(space, g, QE.T_op)
-              for g in _distinct_irreducible_factors(
-                  space.k, _matrix_min_poly(space, QE.T_op))] if v else []
     sheets = [H for r in range(v) for H in (QE.herm_re[r], QE.herm_im[r])]
-    nodes = walk(space, QE.dim, QE.P_op, QE.ops[1:], slices, sheets, top=v)
+    nodes = walk(space, QE.dim, QE.P_op, QE.ops[1:], QE.slices, sheets, top=v)
     return [S for S in nodes if S.dim == v]
 
 
@@ -210,7 +167,7 @@ def split_factor_check(Q, QE, max_v=DEFAULT_MAX_V):
     of all stable S exactly exhaust the independently enumerated
     self-dual set.
     """
-    assert Q.desc.is_split
+    require(Q.desc.is_split, "split_factor_check needs a split quotient")
     space = Q.space
     v = Q.v
     expected = set()
@@ -220,7 +177,7 @@ def split_factor_check(Q, QE, max_v=DEFAULT_MAX_V):
             eb.insert(np.concatenate([s, s]))
         for u in torsion_dual(Q, S).basis_matrix():
             eb.insert(np.concatenate([u, space.neg(u)]))
-        assert eb.dim == v
+        require(eb.dim == v, "split image of a stable S is not of dimension v")
         expected.add(eb.key())
     actual = {S.key() for S in selfdual_submodules(QE, max_v=max_v)}
     return expected == actual

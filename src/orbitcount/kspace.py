@@ -107,9 +107,13 @@ class KSpace:
                 R[[r, i]] = R[[i, r]]
             s = self.inv_el(R[r, c])
             R[r] = self.mul(R[r], s)
-            for i in range(rows):
-                if i != r and R[i, c]:
-                    R[i] = self.sub(R[i], self.mul(R[r], R[i, c]))
+            # clear column c in every other row at once
+            col = R[:, c].copy()
+            col[r] = 0
+            hit = np.nonzero(col)[0]
+            if hit.size:
+                R[hit] = self.sub(R[hit],
+                                  self.mul(col[hit, None], R[r][None, :]))
             pivots.append(c)
             r += 1
         return R[:r], pivots
@@ -120,14 +124,16 @@ class KSpace:
     def right_nullspace(self, A):
         """Rows spanning {x : A x = 0}."""
         A = np.asarray(A, dtype=np.int64)
-        rows, cols = A.shape
-        R, pivots = self.rref(A)
+        return self.rref_nullspace(*self.rref(A), A.shape[1])
+
+    def rref_nullspace(self, R, pivots, cols):
+        """Rows spanning {x : R x = 0} for R in reduced echelon form with
+        the given pivot columns: one row per free column c, e_c minus
+        column c of R at the pivots."""
         free = [c for c in range(cols) if c not in pivots]
         out = self.zeros((len(free), cols))
-        for t, c in enumerate(free):
-            out[t, c] = 1
-            for r, pc in enumerate(pivots):
-                out[t, pc] = self.neg(R[r, c])
+        out[np.arange(len(free)), free] = 1
+        out[:, pivots] = self.neg(R[:, free].T)
         return out
 
 

@@ -18,17 +18,17 @@ import numpy as np
 from .errors import (BudgetExceeded, Indeterminate, InvariantViolation,
                      NotStronglyRegular, PrecisionExhausted, SchemaError,
                      TargetUnreachable)
-from .group_ring import build_group_order, group_counts, lie_transport
+from .group_ring import build_group_order, group_counts
 from .hermitian import build_hermitian_quotient, count_selfdual
 from .invariants import (InvariantPair, MatrixE, invariants_of,
                          strong_regularity, v_invariant)
 from .kspace import (KSpace, batch_form_vanishes, batch_stable_mask,
                      gaussian_binomial, iter_rref_bases)
-from .local_field import (EElem, TruncSeries, eelem_from_obj, eelem_to_obj,
-                          field_desc, imaginary_unit)
-from .order_lattices import (DEFAULT_MAX_V, _node_budget, build_order,
-                             build_quotient, enumerate_stable_submodules,
-                             signed_sum, walk)
+from .local_field import (EElem, TruncSeries, eelem_to_obj, field_desc,
+                          imaginary_unit)
+from .order_lattices import (DEFAULT_MAX_V, _node_budget, _poly_pow_mod,
+                             build_order, build_quotient,
+                             enumerate_stable_submodules, signed_sum, walk)
 
 SCHEMA_VERSION = 1
 PRECISION_CAP = 256
@@ -363,34 +363,6 @@ def _rand_real_poly(rng, k, deg, min_val=0, unit_at=None):
         if c:
             s = s + TruncSeries.pi_pow(k, l).scaled(c)
     return s
-
-
-def _poly_pow_mod(base, e, h, k):
-    """base^e in F_q[s]/(h), h monic; polynomials as little-endian lists."""
-    n = len(h) - 1
-
-    def mul(u, v):
-        out = [0] * (len(u) + len(v) - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    out[i + j] = k.add[out[i + j]][k.mul[a][b]]
-        for i in range(len(out) - 1, n - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(n):
-                    out[i - n + j] = k.sub[out[i - n + j]][k.mul[c][h[j]]]
-        out = out[:n]
-        return out + [0] * (n - len(out))
-
-    acc = [1] + [0] * (n - 1)
-    while e:
-        if e & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        e >>= 1
-    return acc
 
 
 def _irreducible_mod(h, k):

@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
+from conftest import build_pipeline
 from orbitcount.errors import BudgetExceeded, TargetUnreachable
 from orbitcount.gf import gf_by_order
-from orbitcount.hermitian import (_distinct_irreducible_factors,
-                                  _matrix_min_poly, _poly_apply, _poly_divmod,
-                                  build_hermitian_quotient, count_selfdual,
+from orbitcount.hermitian import (build_hermitian_quotient, count_selfdual,
                                   selfdual_submodules, split_factor_check)
 from orbitcount.invariants import InvariantPair
 from orbitcount.kspace import KSpace
 from orbitcount.local_field import EElem, TruncSeries, field_desc
-from orbitcount.order_lattices import (_is_isotropic, build_order,
-                                       build_quotient,
-                                       enumerate_stable_submodules)
+from orbitcount.order_lattices import (_distinct_irreducible_factors,
+                                       _matrix_min_poly, _poly_apply,
+                                       _poly_divmod, _poly_pow_mod, _sqrt_mod,
+                                       build_order, build_quotient,
+                                       enumerate_stable_submodules, walk)
 from orbitcount.verify import rand_invariants
 
 inert3 = field_desc(3, "inert")
@@ -57,8 +58,8 @@ def test_selfdual_nodes_are_stable_isotropic():
     for S in selfdual_submodules(QE):
         assert S.dim == QE.v
         W = S.basis_matrix()
-        sheets = list(QE.herm_re) + list(QE.herm_im)
-        assert _is_isotropic(sp, W, sheets)
+        for H in list(QE.herm_re) + list(QE.herm_im):
+            assert not sp.matmul(sp.matmul(W, H), W.T).any()
         for M in QE.ops:
             for row in W:
                 assert S.contains(sp.mat_vec(M, row))
@@ -161,3 +162,77 @@ def test_poly_apply_matches_direct_evaluation():
     eye = sp.arr(np.eye(3, dtype=np.int64))
     want = sp.add(sp.matmul(M, M), sp.mul(eye, 2))
     assert np.array_equal(_poly_apply(sp, poly, M), want)
+
+
+# -- the walk's residue-field slices ---------------------------------
+
+def _pipeline(n, q, ext, v, seed, family="generic"):
+    ab = rand_invariants(n, field_desc(q, ext), v, seed=seed, family=family)
+    return build_pipeline(ab)[1:3]
+
+
+@pytest.mark.parametrize("case,degrees,sizes", [
+    # split, two linear factors: J = +-1 halves each
+    ((2, 3, "split", 3, 0), [1, 1], [1, 1, 1, 1]),
+    # inert, odd degree: one slice F_(q^2) per factor
+    ((2, 3, "inert", 3, 0), [1, 1], [2, 2]),
+    # inert, even degree: d becomes a square and J splits
+    ((2, 5, "inert", 2, 0), [2], [2, 2]),
+    ((2, 9, "inert", 2, 0), [2], [2, 2]),
+    ((2, 9, "split", 2, 0), [1, 1], [1, 1, 1, 1]),
+    # n = 3, irreducible at v = 3: F_(q^3), and F_(q^6) when inert
+    ((3, 5, "split", 3, 0, "irreducible"), [3], [3, 3]),
+    ((3, 5, "inert", 3, 0, "irreducible"), [3], [6]),
+    # p <= n
+    ((3, 3, "split", 3, 6), [1, 2], [1, 1, 2, 2]),
+    ((3, 3, "inert", 3, 1), [3], [6]),
+])
+def test_sliced_walk_matches_line_walk(case, degrees, sizes):
+    Q, QE = _pipeline(*case)
+    assert [len(g) - 1 for g in Q.factors] == degrees
+    assert [len(basis) for _, basis in QE.slices] == sizes
+    sliced = walk(Q.space, Q.v, Q.P_op, Q.ops[1:], Q.slices)
+    lines = walk(Q.space, Q.v, Q.P_op, Q.ops[1:], slices=())
+    assert {S.key() for S in sliced} == {S.key() for S in lines}
+    sheets = [H for r in range(QE.v) for H in (QE.herm_re[r], QE.herm_im[r])]
+    sliced = walk(QE.space, QE.dim, QE.P_op, QE.ops[1:], QE.slices, sheets,
+                  top=QE.v)
+    lines = walk(QE.space, QE.dim, QE.P_op, QE.ops[1:], (), sheets, top=QE.v)
+    assert {S.key() for S in sliced} == {S.key() for S in lines}
+
+
+@pytest.mark.parametrize("case", [
+    (2, 3, "split", 3, 0), (2, 3, "inert", 3, 0), (2, 5, "inert", 2, 0),
+    (2, 9, "inert", 2, 0), (3, 3, "split", 3, 6),
+])
+def test_slices_split_each_factor_kernel(case):
+    # Q_E's slices come one or two per factor g of T, in Q's order; the
+    # J-cuts split ker g(T) into two halves
+    Q, QE = _pipeline(*case)
+    sp = QE.space
+    d = QE.desc.jsq
+    at = 0
+    for g in Q.factors:
+        f = len(g) - 1
+        r = _sqrt_mod(d, g, sp.k)
+        if r is None:
+            assert not QE.desc.is_split and f % 2 == 1
+            mine = QE.slices[at:at + 1]
+        else:
+            assert _poly_pow_mod(r, 2, g, sp.k) == [d] + [0] * (f - 1)
+            mine = QE.slices[at:at + 2]
+        at += len(mine)
+        gT = _poly_apply(sp, g, QE.T_op)
+        kernel = QE.dim - sp.rank(gT)
+        assert sum(QE.dim - sp.rank(np.concatenate(cuts + [gT], axis=0))
+                   for cuts, _ in mine) == kernel
+    assert at == len(QE.slices)
+
+
+def test_sqrt_mod_small_fields():
+    # 2 is a non-square of F_3 and a square in F_9 = F_3[x]/(x^2 + 1)
+    r = _sqrt_mod(2, [1, 0, 1], k3)
+    assert _poly_pow_mod(r, 2, [1, 0, 1], k3) == [2, 0]
+    assert _sqrt_mod(2, [0, 1], k3) is None
+    assert _sqrt_mod(1, [0, 1], k3) in ([1], [2])
+    assert _sqrt_mod(k9.least_nonresidue(), [0, 1], k9) is None

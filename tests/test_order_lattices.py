@@ -1,8 +1,13 @@
 """Order construction, finite quotients, and stable-lattice counting."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import orbitcount
 from orbitcount.errors import (BudgetExceeded, NotStronglyRegular,
                                PrecisionExhausted, TargetUnreachable)
 from orbitcount.gf import gf_by_order
@@ -172,3 +177,57 @@ def test_signed_sum_conventions():
     assert signed_sum([1, 2, 1], split3) == 4
     assert signed_sum([1, 0, 1, 0, 1], inert3) == 3
     assert signed_sum([2], inert3) == 2
+
+
+# -- invariants that python -O must not strip ------------------------
+
+_INSTANCE = """
+from orbitcount.errors import InvariantViolation
+from orbitcount.linalg import mat_identity
+from orbitcount.local_field import TruncSeries, field_desc
+from orbitcount.order_lattices import (build_order, quotient_from_gram,
+                                       stable_submodules)
+from orbitcount.verify import rand_invariants
+
+# Q = k^2 with P = 0, on which T acts through an irreducible quadratic
+desc = field_desc(5, "inert")
+order = build_order(rand_invariants(2, desc, 2, seed=0))
+k = desc.k
+zero, one = TruncSeries.zero(k, 10), TruncSeries.one(k, 10)
+"""
+
+# the identity as T_op: its one slice is all of Q, whose k-lines T moves
+IDENTITY_AS_T = _INSTANCE + """
+Q = quotient_from_gram(order.G, [mat_identity(2, zero, one), order.T], 10,
+                       order.val_delta, desc)
+try:
+    stable_submodules(Q)
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+# a projection onto one coordinate of the u-basis is integral (Q has
+# equal Smith exponents) but does not commute with T
+NON_COMMUTING = _INSTANCE + """
+proj = [[one, zero], [zero, zero]]
+try:
+    quotient_from_gram(order.G, [order.T, proj], 10, order.val_delta, desc)
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("script,message", [
+    pytest.param(IDENTITY_AS_T, "does not generate", id="identity-as-T"),
+    pytest.param(NON_COMMUTING, "do not commute", id="non-commuting"),
+])
+def test_invariant_checks_survive_optimize(flags, script, message):
+    src = os.path.dirname(os.path.dirname(orbitcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("raised:") and message in proc.stdout, \
+        proc.stdout
+

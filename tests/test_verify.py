@@ -9,6 +9,7 @@ import pytest
 
 import orbitcount
 from orbitcount.errors import BudgetExceeded, SchemaError, TargetUnreachable
+from orbitcount.hermitian import build_hermitian_quotient, split_factor_check
 from orbitcount.invariants import InvariantPair, invariants_of, strong_regularity
 from orbitcount.local_field import EElem, TruncSeries, field_desc
 from orbitcount.order_lattices import (build_order, build_quotient,
@@ -277,3 +278,23 @@ def test_matrix_oracle_rejects_wrong_counts(flags, debug):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.split("\n")[0] == debug
     assert "matrix oracle" in proc.stdout
+
+
+# Rows whose line walks once took seconds; the residue-field walk runs
+# each in well under a second.  Counts are pinned to the line walk's.
+@pytest.mark.parametrize("n,q,ext,v,seed,m,N", [
+    (4, 5, "inert", 4, 2, [1, 0, 0, 0, 1], 2),
+    (2, 9, "split", 6, 700022, [1, 0, 1, 0, 1, 0, 1], 4),
+    (2, 9, "inert", 6, 700022, [1, 0, 1, 0, 1, 0, 1], 4),
+])
+def test_slow_line_walk_rows(n, q, ext, v, seed, m, N):
+    desc = field_desc(q, ext)
+    ab = rand_invariants(n, desc, v, seed=seed)
+    vd = verify_count_identity(ab)
+    assert vd.passed and vd.v == v
+    assert vd.m == m and vd.N == N
+    if desc.is_split:
+        order = build_order(ab)
+        Q = build_quotient(order, vd.precision)
+        QE = build_hermitian_quotient(order, desc, vd.precision, fq=Q)
+        assert split_factor_check(Q, QE)

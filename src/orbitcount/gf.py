@@ -3,8 +3,9 @@
 Elements are represented by their index in [0, q): the element with base-p
 digit vector (c_0, .., c_{m-1}) under the fixed power basis of
 F_p[y]/(f) has index sum(c_i * p^i).  The modulus f is the first monic
-irreducible of degree m in the same index order, so the encoding is
-deterministic and reproducible across runs.
+polynomial of degree m, in the same index order, that fqpoly's
+irreducibility test accepts over F_p, so the encoding is deterministic
+and reproducible across runs.
 
 For m = 1 the index is the usual integer residue and all tables reduce to
 arithmetic mod p.
@@ -15,6 +16,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from . import fqpoly
 
 
 def is_prime(n):
@@ -28,68 +31,6 @@ def is_prime(n):
     return True
 
 
-def _poly_mul_mod(u, v, f, p):
-    # u, v, f are little-endian coefficient lists; f monic of degree m
-    m = len(f) - 1
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % p
-    for i in range(len(out) - 1, m - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(m):
-                out[i - m + j] = (out[i - m + j] - c * f[j]) % p
-    return out[:m] if len(out) >= m else out + [0] * (m - len(out))
-
-
-def _find_irreducible(p, m):
-    """First monic irreducible of degree m over F_p in index order.
-
-    The index of x^m + sum c_i x^i is sum c_i p^i.  Smallness of p^m in
-    practice (tables are built eagerly) keeps trial division affordable.
-    """
-    if m == 1:
-        return [0, 1]
-
-    def poly_from_index(idx, deg):
-        cs = []
-        for _ in range(deg):
-            cs.append(idx % p)
-            idx //= p
-        return cs
-
-    def divides(g, f):
-        # trial division of monic f by monic g over F_p
-        r = list(f)
-        dg = len(g) - 1
-        while len(r) - 1 >= dg:
-            lead = r[-1]
-            if lead:
-                shift = len(r) - 1 - dg
-                for j in range(dg + 1):
-                    r[shift + j] = (r[shift + j] - lead * g[j]) % p
-            r.pop()
-        return all(c == 0 for c in r)
-
-    for idx in range(p ** m):
-        f = poly_from_index(idx, m) + [1]
-        ok = True
-        for d in range(1, m // 2 + 1):
-            for gidx in range(p ** d):
-                g = poly_from_index(gidx, d) + [1]
-                if divides(g, f):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return f
-    raise RuntimeError("no irreducible found (unreachable)")
-
-
 class GFTable:
     """Dense arithmetic tables for F_q.
 
@@ -100,18 +41,23 @@ class GFTable:
     """
 
     def __init__(self, p, m):
-        assert is_prime(p) and p >= 3, "odd prime characteristic required"
-        assert m >= 1
+        if not (is_prime(p) and p >= 3):
+            raise ValueError(f"characteristic {p} is not an odd prime")
+        if m < 1:
+            raise ValueError(f"degree {m} is not positive")
         self.p = p
         self.m = m
         self.q = q = p ** m
         self.prime = m == 1
-        self.modulus = _find_irreducible(p, m)
-
         if m == 1:
+            # F_p's own tables: the general case below needs them
+            self.modulus = [0, 1]
             add = [[(a + b) % p for b in range(p)] for a in range(p)]
             mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
+            kp = gf_table(p, 1)
+            self.modulus = next(f for f in fqpoly.monic(m, p)
+                                if fqpoly.is_irreducible(f, kp))
             add = [[0] * q for _ in range(q)]
             mul = [[0] * q for _ in range(q)]
             digs = [self.digits(e) for e in range(q)]
@@ -120,7 +66,7 @@ class GFTable:
                     add[a][b] = self.from_digits(
                         [(x + y) % p for x, y in zip(digs[a], digs[b])])
                     mul[a][b] = self.from_digits(
-                        _poly_mul_mod(digs[a], digs[b], self.modulus, p))
+                        fqpoly.mulmod(digs[a], digs[b], self.modulus, kp))
         self.add = tuple(tuple(r) for r in add)
         self.mul = tuple(tuple(r) for r in mul)
         self.neg = tuple(self.from_digits([(-c) % p for c in self.digits(a)])

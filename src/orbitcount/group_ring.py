@@ -17,7 +17,7 @@ congruence between the transported pair and the group order.
 import random
 
 from .errors import (GeneratorNotFound, GroupConstraintViolated, Indeterminate,
-                     NotStronglyRegular, SchemaError)
+                     NotStronglyRegular, SchemaError, require)
 from .invariants import InvariantPair, char_poly_disc, moment_sequence, _vanishes
 from .linalg import (char_coeffs, mat_det, mat_identity, mat_mul,
                      mat_transpose, smith_normal_form)
@@ -30,24 +30,29 @@ class GroupOrderData:
     fixed_basis columns are 2n real coordinates in the ambient basis
     (t^l ; j t^l) of O_E[t]/P_a.  mult_ops[i] is multiplication by
     basis element w_i written in the w-basis; G[i][r] = b'(w_i w_r).
+    gen_poly is the residual generator s as a polynomial in t, T_gen
+    its multiplication matrix in the w-basis, and gen_powers the matrix
+    whose columns are the w-coordinates of 1, s, .., s^(n-1).
     """
 
-    __slots__ = ("n", "ab", "fixed_basis", "mult_ops", "T_gen", "G",
-                 "val_delta", "val_disc", "theta_unit", "desc", "_U", "_N")
+    __slots__ = ("n", "ab", "fixed_basis", "mult_ops", "gen_poly", "T_gen",
+                 "gen_powers", "G", "val_delta", "val_disc", "theta_unit",
+                 "desc", "_N")
 
-    def __init__(self, n, ab, fixed_basis, mult_ops, T_gen, G,
-                 val_delta, val_disc, theta_unit, desc, U, N):
+    def __init__(self, n, ab, fixed_basis, mult_ops, gen_poly, T_gen,
+                 gen_powers, G, val_delta, val_disc, theta_unit, desc, N):
         self.n = n
         self.ab = ab
         self.fixed_basis = fixed_basis
         self.mult_ops = mult_ops
+        self.gen_poly = gen_poly
         self.T_gen = T_gen
+        self.gen_powers = gen_powers
         self.G = G
         self.val_delta = val_delta
         self.val_disc = val_disc
         self.theta_unit = theta_unit
         self.desc = desc
-        self._U = U
         self._N = N
 
 
@@ -109,6 +114,21 @@ def _vec_of(poly, desc, n):
 
 def _poly_of(vec, desc, n):
     return [EElem(desc, vec[l], vec[n + l]) for l in range(n)]
+
+
+def _fixed_coords(poly, U, desc, N):
+    """w-coordinates of a theta-fixed element given as a polynomial in t.
+
+    U is the left factor of the projector's Smith form; its last n rows
+    vanish on the fixed ring, which is checked."""
+    n = len(U) // 2
+    vec = [c.truncated(N) for c in _vec_of(poly, desc, n)]
+    sz = TruncSeries.zero(desc.k, N)
+    y = [sum((U[i][r] * vec[r] for r in range(2 * n)), sz)
+         for i in range(2 * n)]
+    require(not any(y[i].coeffs for i in range(n, 2 * n)),
+            "element has coordinates off the fixed ring")
+    return y[:n]
 
 
 def build_group_order(ab, N):
@@ -173,9 +193,9 @@ def build_group_order(ab, N):
     so = TruncSeries.one(k, N)
     sq = mat_mul(Theta, Theta, sz)
     ident = mat_identity(2 * n, sz, so)
-    for i in range(2 * n):
-        for r in range(2 * n):
-            assert sq[i][r].agrees_with(ident[i][r])
+    require(all(sq[i][r].agrees_with(ident[i][r])
+                for i in range(2 * n) for r in range(2 * n)),
+            "theta is not an involution")
 
     # projector (1 + theta)/2; its image is the fixed ring
     inv2 = k.inv[2]
@@ -187,45 +207,37 @@ def build_group_order(ab, N):
             f"fixed ring is not free of rank {n} with unit divisors: {dexps}")
     fixed_basis = [[Uinv[i][r] for r in range(n)] for i in range(2 * n)]
 
-    def fixed_coords(vec):
-        y = [sum((U[i][r] * vec[r] for r in range(2 * n)), sz) for i in range(2 * n)]
-        for i in range(n, 2 * n):
-            assert len(y[i].coeffs) == 0
-        return y[:n]
-
     basis_polys = [_poly_of([fixed_basis[i][r] for i in range(2 * n)], desc, n)
                    for r in range(n)]
     for w in basis_polys:
-        # membership: theta fixes each basis element
         tw = _theta_poly(w, taus, ab)
-        for c1, c2 in zip(w, tw):
-            assert c1.agrees_with(c2)
+        require(all(c1.agrees_with(c2) for c1, c2 in zip(w, tw)),
+                "a fixed-ring basis element is not fixed by theta")
 
+    # each product w_i w_r once: b' of it is G[i][r], and its
+    # w-coordinates are column r of mult_ops[i]
     G = []
     mult_ops = []
     for i in range(n):
         row = []
-        for r in range(n):
-            prod = _poly_mul_mod(basis_polys[i], basis_polys[r], ab)
-            val = _bprime(prod, ab)
-            assert _vanishes(val.im)
-            row.append(val.re)
-        G.append(row)
-    for i in range(n):
         cols = []
         for r in range(n):
             prod = _poly_mul_mod(basis_polys[i], basis_polys[r], ab)
-            cols.append(fixed_coords([c.truncated(N) for c in _vec_of(prod, desc, n)]))
+            val = _bprime(prod, ab)
+            require(_vanishes(val.im), "Gram entry of the fixed ring is not real")
+            row.append(val.re)
+            cols.append(_fixed_coords(prod, U, desc, N))
+        G.append(row)
         mult_ops.append([[cols[r][i2] for r in range(n)] for i2 in range(n)])
-    for i in range(n):
-        for r in range(n):
-            assert G[i][r].agrees_with(G[r][i])
+    require(all(G[i][r].agrees_with(G[r][i])
+                for i in range(n) for r in range(n)),
+            "Gram matrix of the fixed ring is not symmetric")
     for M in mult_ops:
         GM = mat_mul(G, M, sz)
         MtG = mat_mul(mat_transpose(M), G, sz)
-        for i in range(n):
-            for r in range(n):
-                assert GM[i][r].agrees_with(MtG[i][r])
+        require(all(GM[i][r].agrees_with(MtG[i][r])
+                    for i in range(n) for r in range(n)),
+                "multiplication is not self-adjoint for the Gram pairing")
     detG = mat_det(G, sz, so)
     val_delta = detG.val()
     if val_delta is None:
@@ -234,10 +246,10 @@ def build_group_order(ab, N):
         raise Indeterminate("Gram determinant vanishes at working precision",
                             needed=2 * N)
 
-    order = GroupOrderData(n, ab, fixed_basis, mult_ops, None, G,
-                           val_delta, val_disc, theta_unit, desc, U, N)
-    order.T_gen = _find_generator(order, basis_polys, taus)[1]
-    return order
+    gen_poly, T_gen, gen_powers = _find_generator(ab, basis_polys, taus, U, N)
+    return GroupOrderData(n, ab, fixed_basis, mult_ops, gen_poly, T_gen,
+                          gen_powers, G, val_delta, val_disc, theta_unit,
+                          desc, N)
 
 
 def _theta_poly(poly, taus, ab):
@@ -249,28 +261,19 @@ def _theta_poly(poly, taus, ab):
     return out
 
 
-def _find_generator(order, basis_polys, taus):
+def _find_generator(ab, basis_polys, taus, U, N):
     """Element s whose powers span the fixed ring residually.
 
     Tries the theta-average of jt, then basis elements, then two-term
     combinations with small coefficients, then seeded random vectors.
-    Returns (coords of powers matrix, multiplication matrix of s,
-    s as a polynomial).
+    Returns (s as a polynomial, multiplication matrix of s, coords of
+    powers matrix).
     """
-    ab = order.ab
-    desc = order.desc
+    desc = ab.desc
     k = desc.k
-    n = order.n
-    N = order._N
+    n = ab.n
     sz = TruncSeries.zero(k, N)
     j = imaginary_unit(desc)
-
-    def fixed_coords(vec):
-        y = [sum((order._U[i][r] * vec[r] for r in range(2 * n)), sz)
-             for i in range(2 * n)]
-        for i in range(n, 2 * n):
-            assert len(y[i].coeffs) == 0
-        return y[:n]
 
     def try_candidate(s_poly):
         # powers 1, s, ..., s^(n-1) expressed in the w-basis
@@ -279,16 +282,14 @@ def _find_generator(order, basis_polys, taus):
             powers.append(_poly_mul_mod(powers[-1], s_poly, ab))
         C = [[None] * n for _ in range(n)]
         for m, pw in enumerate(powers):
-            col = fixed_coords([c.truncated(N) for c in _vec_of(pw, desc, n)])
+            col = _fixed_coords(pw, U, desc, N)
             for i in range(n):
                 C[i][m] = col[i]
         det = mat_det(C, sz, TruncSeries.one(k, N))
         if det.val() != 0:
             return None
-        cols = []
-        for r in range(n):
-            prod = _poly_mul_mod(s_poly, basis_polys[r], ab)
-            cols.append(fixed_coords([c.truncated(N) for c in _vec_of(prod, desc, n)]))
+        cols = [_fixed_coords(_poly_mul_mod(s_poly, w, ab), U, desc, N)
+                for w in basis_polys]
         M_s = [[cols[r][i] for r in range(n)] for i in range(n)]
         return C, M_s
 
@@ -343,7 +344,7 @@ def lie_transport(order):
     With s a residual generator and c its multiplication characteristic
     coefficients, a_i~ = j^i c_i and b_m~ = j^m b'(s^m).  The identity
     P_a~(j s) = j^n P_c(s) = 0 makes jt~ -> s the module identification;
-    the resulting Gram congruence is asserted before returning.
+    the resulting Gram congruence is checked before returning.
     """
     ab = order.ab
     desc = order.desc
@@ -351,14 +352,7 @@ def lie_transport(order):
     n = order.n
     N = order._N
     j = imaginary_unit(desc)
-
-    taus = [[EElem.one(desc)] + [EElem.zero(desc)] * (n - 1)]
-    tinv = _tinv_poly(ab)
-    for _ in range(n - 1):
-        taus.append(_poly_mul_mod(taus[-1], tinv, ab))
-    basis_polys = [_poly_of([order.fixed_basis[i][r] for i in range(2 * n)], desc, n)
-                   for r in range(n)]
-    s_poly, M_s, C = _find_generator(order, basis_polys, taus)
+    s_poly, M_s, C = order.gen_poly, order.T_gen, order.gen_powers
 
     zero = EElem.zero(desc)
     one = EElem.one(desc)
@@ -384,6 +378,8 @@ def lie_transport(order):
     for i in range(n):
         for r in range(n):
             val = jp[i + r] * s_t[i + r]
-            assert _vanishes(val.im)
-            assert lhs[i][r].agrees_with(val.re)
+            require(_vanishes(val.im), "transported Gram entry is not real")
+            require(lhs[i][r].agrees_with(val.re),
+                    "transported Gram matrix is not congruent to the "
+                    "group order's")
     return out

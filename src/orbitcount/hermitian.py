@@ -34,10 +34,11 @@ submodules.
 import numpy as np
 
 from .errors import BudgetExceeded, require
+from .fqpoly import sqrt_mod
 from .kspace import EchelonBasis
-from .order_lattices import (DEFAULT_MAX_V, _poly_apply, _sqrt_mod,
-                             build_quotient, gaussian_binomial,
-                             stable_submodules, torsion_dual, walk)
+from .order_lattices import (DEFAULT_MAX_V, _poly_apply, build_quotient,
+                             gaussian_binomial, stable_submodules,
+                             torsion_dual, walk)
 
 
 class HermQuotient:
@@ -124,7 +125,7 @@ def build_hermitian_quotient(order, desc, N, fq=None):
     for g, (cuts, powers) in zip(Q.factors, Q.slices):
         cuts = [lift(C) for C in cuts]
         basis = [lift(M) for M in powers]
-        r = _sqrt_mod(d, g, space.k)
+        r = sqrt_mod(d, g, space.k)
         if r is None:
             slices.append((cuts, basis + [space.matmul(J2, M) for M in basis]))
         else:

@@ -69,7 +69,7 @@ def field_desc(q, ext):
         raise SchemaError("ext", "expected 'split' or 'inert'")
     try:
         k = gf_by_order(q)
-    except (AssertionError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise SchemaError("q", str(exc)) from None
     return FieldDesc(k.p, k.m, ext)
 

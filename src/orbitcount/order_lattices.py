@@ -12,8 +12,7 @@ echelon forms, never sampling.  The same walk, given the Hermitian
 sheets, finds the self-dual lattices on the O_E side.  Both walks step
 by simple extensions, one line over a residue field k[T]/(g) per
 irreducible factor g of T's minimal polynomial; the quotient carries
-those slices, built once from T, and the small F_q[x] helpers behind
-them.
+those slices, built once from T with fqpoly's factoring.
 """
 
 import os
@@ -24,6 +23,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, InvariantViolation, NotStronglyRegular,
                      PrecisionExhausted, require)
+from .fqpoly import irreducible_factors
 from .invariants import moment_sequence, strong_regularity, _vanishes
 from .kspace import EchelonBasis, KSpace, gaussian_binomial
 from .linalg import mat_det, mat_mul, mat_transpose, smith_normal_form
@@ -364,8 +364,7 @@ def _residue_slices(space, T):
     On ker g(T) the basis acts as the field k[T]/(g)."""
     if not len(T):
         return [], []
-    factors = _distinct_irreducible_factors(space.k,
-                                            _matrix_min_poly(space, T))
+    factors = irreducible_factors(_matrix_min_poly(space, T), space.k)
     powers = [space.arr(np.eye(len(T), dtype=np.int64))]
     while len(powers) < max(len(g) for g in factors) - 1:
         powers.append(space.matmul(powers[-1], T))
@@ -373,82 +372,6 @@ def _residue_slices(space, T):
     slices = [([C] if C.any() else [], powers[:len(g) - 1])
               for g, C in zip(factors, cuts)]
     return factors, slices
-
-
-def _poly_divmod(num, den, k):
-    # little-endian coefficient lists of field element indices, den monic
-    num = list(num)
-    inv_lead = k.inv[den[-1]]
-    quot = [0] * max(len(num) - len(den) + 1, 0)
-    for i in range(len(num) - len(den), -1, -1):
-        c = k.mul[num[i + len(den) - 1]][inv_lead]
-        if c:
-            quot[i] = c
-            for j, d in enumerate(den):
-                num[i + j] = k.sub[num[i + j]][k.mul[c][d]]
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _poly_pow_mod(base, e, h, k):
-    """base^e in F_q[s]/(h), h monic; polynomials as little-endian lists."""
-    n = len(h) - 1
-
-    def mul(u, v):
-        out = [0] * (len(u) + len(v) - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    out[i + j] = k.add[out[i + j]][k.mul[a][b]]
-        for i in range(len(out) - 1, n - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(n):
-                    out[i - n + j] = k.sub[out[i - n + j]][k.mul[c][h[j]]]
-        out = out[:n]
-        return out + [0] * (n - len(out))
-
-    acc = [1] + [0] * (n - 1)
-    while e:
-        if e & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        e >>= 1
-    return acc
-
-
-def _sqrt_mod(d, g, k):
-    """r with r^2 = d modulo g, for d in k^* and g monic irreducible of
-    degree f, or None when d is not a square in k[x]/(g).
-
-    A square of k has its root in k.  A non-square of k is a square in
-    k[x]/(g) exactly when f is even; then for y in k[x]/(g),
-    w = y^((q^f - 1) / (2 (q - 1))) squares to the norm of y, which lies
-    in k and is a non-square when y is one, so r is w times a root of
-    d over that norm.
-    """
-    q = k.q
-    f = len(g) - 1
-    roots = {k.mul[s][s]: s for s in range(q)}
-    if d in roots:
-        return [roots[d]] + [0] * (f - 1)
-    if f % 2:
-        return None
-    half = (q ** f - 1) // (q - 1) // 2
-    for idx in range(q, q ** f):
-        y = [idx // q ** a % q for a in range(f)]
-        w = _poly_pow_mod(y, half, g, k)
-        norm = _poly_pow_mod(w, 2, g, k)
-        require(not any(norm[1:]), "y^((q^f-1)/2(q-1)) does not square into k")
-        if norm[0] not in roots:
-            s = roots[k.mul[d][k.inv[norm[0]]]]
-            r = [k.mul[s][c] for c in w]
-            require(_poly_pow_mod(r, 2, g, k) == [d] + [0] * (f - 1),
-                    "square root of d is wrong")
-            return r
-    raise InvariantViolation("k[x]/(g) of even degree has no non-square")
 
 
 def _matrix_min_poly(space, M):
@@ -471,39 +394,6 @@ def _matrix_min_poly(space, M):
         span.insert(row)
         power = space.matmul(power, M)
     raise InvariantViolation("no annihilating polynomial up to the dimension")
-
-
-def _distinct_irreducible_factors(k, poly):
-    """Distinct monic irreducible factors, by smallest-divisor trial division."""
-    out = []
-    rest = list(poly)
-    while len(rest) > 1:
-        deg = len(rest) - 1
-        found = None
-        for e in range(1, deg // 2 + 1):
-            for tail in product(range(k.q), repeat=e):
-                den = list(tail) + [1]
-                quot, rem = _poly_divmod(rest, den, k)
-                if not rem:
-                    found = (den, quot)
-                    break
-            if found:
-                break
-        if found is None:
-            # no proper divisor of low degree, so the rest is irreducible
-            inv_lead = k.inv[rest[-1]]
-            den = [k.mul[c][inv_lead] for c in rest]
-            found = (den, [1])
-        den, rest = found
-        if den not in out:
-            out.append(den)
-        # strip any repeated copies of this factor
-        while True:
-            quot, rem = _poly_divmod(rest, den, k)
-            if rem:
-                break
-            rest = quot
-    return out
 
 
 def _poly_apply(space, poly, M):

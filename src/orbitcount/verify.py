@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (BudgetExceeded, Indeterminate, InvariantViolation,
                      NotStronglyRegular, PrecisionExhausted, SchemaError,
-                     TargetUnreachable)
+                     TargetUnreachable, require)
+from .fqpoly import is_irreducible
 from .group_ring import build_group_order, group_counts
 from .hermitian import build_hermitian_quotient, count_selfdual
 from .invariants import (InvariantPair, MatrixE, invariants_of,
@@ -26,9 +27,9 @@ from .kspace import (KSpace, batch_form_vanishes, batch_stable_mask,
                      gaussian_binomial, iter_rref_bases)
 from .local_field import (EElem, TruncSeries, eelem_to_obj, field_desc,
                           imaginary_unit)
-from .order_lattices import (DEFAULT_MAX_V, _node_budget, _poly_pow_mod,
-                             build_order, build_quotient,
-                             enumerate_stable_submodules, signed_sum, walk)
+from .order_lattices import (DEFAULT_MAX_V, _node_budget, build_order,
+                             build_quotient, enumerate_stable_submodules,
+                             signed_sum, walk)
 
 SCHEMA_VERSION = 1
 PRECISION_CAP = 256
@@ -185,12 +186,15 @@ def dvr_closed_form(d, residue_deg, desc):
     itself; residue_deg its residue field degree over k.  Split chains
     give d+1; inert gives d+1 when the residue degree is even and 1
     when it is odd (d must then be even, else the sum cancels to 0 and
-    the closed form does not apply).
+    the closed form does not apply).  ValueError on an odd inert length
+    and on a negative d.
     """
-    assert d >= 0
+    if d < 0:
+        raise ValueError(f"length d = {d} is negative")
     if desc.is_split:
         return d + 1
-    assert (d * residue_deg) % 2 == 0, "inert closed form needs even length"
+    if (d * residue_deg) % 2:
+        raise ValueError("inert closed form needs even length")
     if residue_deg % 2 == 0:
         return d + 1
     return 1
@@ -365,55 +369,6 @@ def _rand_real_poly(rng, k, deg, min_val=0, unit_at=None):
     return s
 
 
-def _irreducible_mod(h, k):
-    """Irreducibility of a monic polynomial over F_q, Rabin style."""
-    n = len(h) - 1
-    if n == 1:
-        return True
-    s = [0, 1] + [0] * (n - 2)
-    frob = _poly_pow_mod(s, k.q ** n, h, k)
-    if frob != s:
-        return False
-    primes = set()
-    t = n
-    p2 = 2
-    while p2 * p2 <= t:
-        while t % p2 == 0:
-            primes.add(p2)
-            t //= p2
-        p2 += 1
-    if t > 1:
-        primes.add(t)
-    for pr in primes:
-        g = _poly_pow_mod(s, k.q ** (n // pr), h, k)
-        diff = [k.sub[a][b] for a, b in zip(g, s)]
-        # gcd(x^(q^(n/pr)) - x, h) must be 1: h irreducible over the
-        # subfield lattice iff the difference is a unit mod h, which for
-        # monic irreducible candidates reduces to it having no common
-        # root; cheap full gcd:
-        u = list(diff)
-        v = list(h)
-        while any(u):
-            while v and v[-1] == 0:
-                v.pop()
-            while u and u[-1] == 0:
-                u.pop()
-            if not u:
-                break
-            if len(u) > len(v):
-                u, v = v, u
-                continue
-            lead = k.mul[v[-1]][k.inv[u[-1]]]
-            off = len(v) - len(u)
-            for i, c in enumerate(u):
-                v[off + i] = k.sub[v[off + i]][k.mul[lead][c]]
-        while v and v[-1] == 0:
-            v.pop()
-        if len(v) != 1:
-            return False
-    return True
-
-
 def rand_invariants(n, desc, target_val_delta=None, seed=0, family="generic"):
     """Seeded sampler for strongly regular parity-correct invariants.
 
@@ -452,7 +407,7 @@ def rand_invariants(n, desc, target_val_delta=None, seed=0, family="generic"):
                 for i in range(1, n + 1):
                     c = k.mul[k.pow(d_unit, i)][alphas[i - 1].coeff_at(0)]
                     h[n - i] = k.neg[c] if i % 2 == 1 else c
-                if _irreducible_mod(h, k):
+                if is_irreducible(h, k):
                     break
         else:
             raise ValueError(f"unknown family {family!r}")
@@ -476,7 +431,8 @@ def rand_invariants(n, desc, target_val_delta=None, seed=0, family="generic"):
             lift = EElem.from_real(desc, TruncSeries.pi_pow(k, gap // n))
             ab = InvariantPair(a, [x * lift for x in b], desc)
             reg = strong_regularity(ab)
-        assert reg.val_delta == target_val_delta
+        require(reg.val_delta == target_val_delta,
+                "scaling b did not move val Delta onto the target")
         return ab.validate()
     raise TargetUnreachable(
         f"no strongly regular draw hit val Delta = {target_val_delta} "

@@ -1,7 +1,12 @@
 """Multiplicative orders: constraints, counting, and the transport map."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import orbitcount
 from orbitcount.errors import (GroupConstraintViolated, NotStronglyRegular,
                                SchemaError)
 from orbitcount.group_ring import build_group_order, group_counts, lie_transport
@@ -122,3 +127,30 @@ def test_rejects_nonintegral_entries():
     bad = EElem.from_real(inert3, TruncSeries.pi_pow(inert3.k, -1))
     with pytest.raises(SchemaError, match=r"b\[0\]"):
         build_group_order(InvariantPair([g], [bad], inert3), 8)
+
+
+# a unit added to one Gram entry breaks the transport's Gram congruence
+CORRUPT_GRAM = """
+from orbitcount.errors import InvariantViolation
+from orbitcount.group_ring import build_group_order, lie_transport
+from orbitcount.local_field import TruncSeries, field_desc
+from orbitcount.verify import rand_group_instance
+desc = field_desc(3, "inert")
+order = build_group_order(rand_group_instance(2, desc, seed=1), 10)
+order.G[0][0] = order.G[0][0] + TruncSeries.one(desc.k, 10)
+try:
+    lie_transport(order)
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_transport_rejects_corrupted_gram(flags):
+    src = os.path.dirname(os.path.dirname(orbitcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", CORRUPT_GRAM],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("raised:") and "congruent" in proc.stdout, \
+        proc.stdout

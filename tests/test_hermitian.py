@@ -5,15 +5,14 @@ import pytest
 
 from conftest import build_pipeline
 from orbitcount.errors import BudgetExceeded, TargetUnreachable
+from orbitcount.fqpoly import mulmod, sqrt_mod
 from orbitcount.gf import gf_by_order
 from orbitcount.hermitian import (build_hermitian_quotient, count_selfdual,
                                   selfdual_submodules, split_factor_check)
 from orbitcount.invariants import InvariantPair
 from orbitcount.kspace import KSpace
 from orbitcount.local_field import EElem, TruncSeries, field_desc
-from orbitcount.order_lattices import (_distinct_irreducible_factors,
-                                       _matrix_min_poly, _poly_apply,
-                                       _poly_divmod, _poly_pow_mod, _sqrt_mod,
+from orbitcount.order_lattices import (_matrix_min_poly, _poly_apply,
                                        build_order, build_quotient,
                                        enumerate_stable_submodules, walk)
 from orbitcount.verify import rand_invariants
@@ -114,16 +113,6 @@ k3 = gf_by_order(3)
 k9 = gf_by_order(9)
 
 
-def test_poly_divmod():
-    # x^2 + 1 = (x + 1)(x + 2) + 2 over F_3
-    quot, rem = _poly_divmod([1, 0, 1], [1, 1], k3)
-    assert quot == [2, 1] and rem == [2]
-    quot, rem = _poly_divmod([2, 1], [2, 1], k3)
-    assert quot == [1] and rem == []
-    quot, rem = _poly_divmod([1], [0, 0, 1], k3)
-    assert quot == [] and rem == [1]
-
-
 def test_matrix_min_poly():
     sp3 = KSpace(k3)
     nil = sp3.arr(np.array([[0, 0], [1, 0]]))
@@ -143,16 +132,6 @@ def test_matrix_min_poly_prime_power_field():
     M = sp9.arr(np.array([[g, 0], [0, g]]))
     # minimal polynomial x - g, normalized monic
     assert _matrix_min_poly(sp9, M) == [k9.neg[g], 1]
-
-
-def test_distinct_irreducible_factors():
-    # x^2 - x = x (x - 1)
-    fs = _distinct_irreducible_factors(k3, [0, 2, 1])
-    assert sorted(fs) == sorted([[0, 1], [2, 1]])
-    # repeated factor collapses
-    assert _distinct_irreducible_factors(k3, [0, 0, 1]) == [[0, 1]]
-    # irreducible stays whole
-    assert _distinct_irreducible_factors(k3, [1, 0, 1]) == [[1, 0, 1]]
 
 
 def test_poly_apply_matches_direct_evaluation():
@@ -214,12 +193,12 @@ def test_slices_split_each_factor_kernel(case):
     at = 0
     for g in Q.factors:
         f = len(g) - 1
-        r = _sqrt_mod(d, g, sp.k)
+        r = sqrt_mod(d, g, sp.k)
         if r is None:
             assert not QE.desc.is_split and f % 2 == 1
             mine = QE.slices[at:at + 1]
         else:
-            assert _poly_pow_mod(r, 2, g, sp.k) == [d] + [0] * (f - 1)
+            assert mulmod(r, r, g, sp.k) == [d] + [0] * (f - 1)
             mine = QE.slices[at:at + 2]
         at += len(mine)
         gT = _poly_apply(sp, g, QE.T_op)
@@ -227,12 +206,3 @@ def test_slices_split_each_factor_kernel(case):
         assert sum(QE.dim - sp.rank(np.concatenate(cuts + [gT], axis=0))
                    for cuts, _ in mine) == kernel
     assert at == len(QE.slices)
-
-
-def test_sqrt_mod_small_fields():
-    # 2 is a non-square of F_3 and a square in F_9 = F_3[x]/(x^2 + 1)
-    r = _sqrt_mod(2, [1, 0, 1], k3)
-    assert _poly_pow_mod(r, 2, [1, 0, 1], k3) == [2, 0]
-    assert _sqrt_mod(2, [0, 1], k3) is None
-    assert _sqrt_mod(1, [0, 1], k3) in ([1], [2])
-    assert _sqrt_mod(k9.least_nonresidue(), [0, 1], k9) is None

@@ -1,10 +1,14 @@
 """Residue fields, truncated series, and quadratic extension elements."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import orbitcount
 from orbitcount.errors import (EtaUndefined, NotAUnit, PrecisionExhausted,
                                SchemaError)
 from orbitcount.gf import gf_by_order, is_prime
@@ -26,6 +30,30 @@ def test_field_desc_rejects_bad_inputs():
         field_desc(1, "split")
     with pytest.raises(SchemaError, match="ext"):
         field_desc(3, "ramified")
+
+
+# the same cases with asserts stripped: even q must still be refused
+REJECT_BAD_INPUTS = """
+from orbitcount.errors import SchemaError
+from orbitcount.local_field import field_desc
+for q, ext in ((4, "inert"), (8, "split"), (2, "inert"), (1, "split"),
+               (3, "ramified")):
+    try:
+        field_desc(q, ext)
+    except SchemaError as exc:
+        print(q, ext, exc.field)
+"""
+
+
+def test_field_desc_rejects_bad_inputs_under_optimize():
+    src = os.path.dirname(os.path.dirname(orbitcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", REJECT_BAD_INPUTS],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split("\n") == [
+        "4 inert q", "8 split q", "2 inert q", "1 split q", "3 ramified ext",
+        ""]
 
 
 def test_field_desc_prime_powers():

@@ -89,8 +89,10 @@ def test_dvr_closed_form_values():
     assert dvr_closed_form(3, 2, inert3) == 4
     assert dvr_closed_form(0, 2, inert3) == 1
     assert dvr_closed_form(3, 1, split3) == 4
-    with pytest.raises(AssertionError, match="even length"):
+    with pytest.raises(ValueError, match="even length"):
         dvr_closed_form(3, 1, inert3)
+    with pytest.raises(ValueError, match="negative"):
+        dvr_closed_form(-1, 2, split3)
 
 
 def test_sampler_deterministic_and_targeted():

@@ -9,7 +9,7 @@ the two discriminant-like quantities Delta and disc(P_a), and the
 membership predicates for the twisted symmetric spaces.
 """
 
-from .errors import Indeterminate, NotStronglyRegular, SchemaError
+from .errors import Indeterminate, NotStronglyRegular, SchemaError, require
 from .linalg import char_coeffs, mat_det
 from .local_field import EElem, eelem_from_obj, eelem_to_obj, eta
 
@@ -30,9 +30,8 @@ class MatrixE:
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise ValueError("entries must form a nonempty square matrix")
-        for row in entries:
-            for e in row:
-                assert e.desc == desc
+        if any(e.desc != desc for row in entries for e in row):
+            raise ValueError("every entry must lie in the matrix's field")
         self.n = n
         self.entries = [list(row) for row in entries]
         self.desc = desc
@@ -213,15 +212,15 @@ def delta_invariant(ab):
 
     The imaginary component cancels because sigma(s_m) = (-1)^m s_m
     makes the Gram matrix Hermitian-symmetric with real determinant;
-    a nonvanishing imaginary digit would mean corrupted input, so it
-    is asserted away rather than reported.
+    a nonvanishing imaginary digit would mean corrupted input and
+    raises InvariantViolation.
     """
     s = moment_sequence(ab, 2 * ab.n - 1)
     gram = [[s[i + j] for j in range(ab.n)] for i in range(ab.n)]
     zero = EElem.zero(ab.desc)
     one = EElem.one(ab.desc)
     delta = mat_det(gram, zero, one)
-    assert _vanishes(delta.im)
+    require(_vanishes(delta.im), "Delta has a nonzero imaginary part")
     return delta
 
 
@@ -345,8 +344,8 @@ def variant_transport(ab, jelem):
     jp = [one]
     for _ in range(ab.n):
         jp.append(jp[-1] * jelem)
-    for x in ab.a + ab.b:
-        assert _vanishes(x.im), "variant_transport expects real invariants"
+    if not all(_vanishes(x.im) for x in ab.a + ab.b):
+        raise ValueError("variant_transport expects real invariants")
     a = [jp[i] * ab.a[i - 1] for i in range(1, ab.n + 1)]
     b = [jp[i] * ab.b[i] for i in range(ab.n)]
     return InvariantPair(a, b, ab.desc)

@@ -68,7 +68,9 @@ class KSpace:
             for t in range(K):
                 out = self.add(out, self.mul(A[..., t:t + 1], B[t][None, :]))
             return out
-        assert A.ndim == B.ndim
+        if A.ndim != B.ndim:
+            raise ValueError(f"batched matmul needs equal ranks, got "
+                             f"{A.ndim} and {B.ndim}")
         out = self.zeros(A.shape[:-1] + (B.shape[-1],))
         for t in range(K):
             out = self.add(out, self.mul(A[..., t:t + 1], B[..., t, :][..., None, :]
@@ -241,13 +243,17 @@ def batch_stable_mask(space, W, piv, M):
 
     Row vectors transform by M transpose; membership is tested by reading
     pivot coordinates, which is valid exactly because W is fully reduced.
+    The pivot columns of W are the identity, so the image's pivot
+    columns always equal its own coordinates and only the free columns
+    are compared.
     """
     if W.shape[1] == 0:
         return np.ones(W.shape[0], dtype=bool)
+    piv = list(piv)
+    free = [c for c in range(W.shape[2]) if c not in piv]
     A = space.matmul(W, M.T)
-    coords = A[:, :, list(piv)]
-    recon = space.matmul(coords, W)
-    return (A == recon).all(axis=(1, 2))
+    recon = space.matmul(A[:, :, piv], W[:, :, free])
+    return (A[:, :, free] == recon).all(axis=(1, 2))
 
 
 def batch_form_vanishes(space, W, H):

@@ -106,7 +106,8 @@ def smith_normal_form(M, N, allow_zero_block=False):
     whose kernel block is genuinely zero.
     """
     n = len(M)
-    assert all(len(row) == n for row in M)
+    if any(len(row) != n for row in M):
+        raise ValueError("smith_normal_form needs a square matrix")
     k = M[0][0].k
     from .local_field import TruncSeries
     zero = TruncSeries.zero(k, N)

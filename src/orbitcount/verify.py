@@ -201,15 +201,17 @@ def dvr_closed_form(d, residue_deg, desc):
 
 
 def naive_subspace_oracle(Q):
-    """Exhaustive recount over all echelon bases, no pruning, no BFS.
+    """Exhaustive recount over all echelon bases, using nothing from the walk.
 
     For a plain quotient returns the full bucket list m_0..m_v by
     scanning every subspace of every dimension and keeping those stable
     under all operators.  For a Hermitian quotient returns the single
     self-dual count: dimension-v subspaces that are stable and on which
-    every torsion pairing sheet vanishes.  The scan is exponential, so
-    it refuses up front when the subspace count exceeds the node
-    budget.
+    every torsion pairing sheet vanishes.  Every subspace is enumerated
+    and meets the first test (P); a candidate is dropped at the first
+    operator or sheet that rejects it, so later tests run on the
+    survivors only.  The scan is exponential, so it refuses up front
+    when the subspace count exceeds the node budget.
     """
     herm = hasattr(Q, "herm_re")
     tot = 2 * Q.v if herm else Q.v
@@ -223,17 +225,16 @@ def naive_subspace_oracle(Q):
     if tot == 0:
         return 1 if herm else [1]
 
+    sheets = list(Q.herm_re) + list(Q.herm_im) if herm else []
+
     def stable_counts(d):
         hits = 0
         for W, piv in iter_rref_bases(space, tot, d, 2048):
-            mask = None
             for op in Q.ops:
-                cur = batch_stable_mask(space, W, piv, op)
-                mask = cur if mask is None else (mask & cur)
-            if herm:
-                for sheet in list(Q.herm_re) + list(Q.herm_im):
-                    mask = mask & batch_form_vanishes(space, W, sheet)
-            hits += int(mask.sum())
+                W = W[batch_stable_mask(space, W, piv, op)]
+            for sheet in sheets:
+                W = W[batch_form_vanishes(space, W, sheet)]
+            hits += len(W)
         return hits
 
     if herm:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from orbitcount.fqpoly import is_irreducible, monic
 from orbitcount.gf import gf_by_order
 from orbitcount.kspace import (EchelonBasis, KSpace, batch_form_vanishes,
                                batch_stable_mask, gaussian_binomial,
@@ -82,6 +83,9 @@ def test_kspace_matches_tables(q):
         for t in range(4):
             acc = k.add[acc][k.mul[C[i, t]][D[i, t]]]
         assert dots[i] == acc
+    if not sp.prime:
+        with pytest.raises(ValueError):
+            sp.matmul(sp.zeros((2, 2, 3)), sp.zeros((2, 2, 3, 4)))
 
 
 @pytest.mark.parametrize("q", [3, 9])
@@ -139,24 +143,43 @@ def test_rref_enumeration_count(q, n, d):
     assert len(seen) == total
 
 
+def _companion_of_irreducible(k, n):
+    """Companion matrix of the first monic irreducible of degree n: it
+    leaves no subspace of k^n other than 0 and k^n stable."""
+    h = next(h for h in monic(n, k.q) if is_irreducible(h, k))
+    C = np.zeros((n, n), dtype=np.int64)
+    C[np.arange(1, n), np.arange(n - 1)] = 1
+    C[:, n - 1] = [k.neg[c] for c in h[:n]]
+    return C
+
+
 def test_batch_masks_agree_with_direct_checks():
-    q = 3
-    sp = KSpace(gf_by_order(q))
-    rng = np.random.default_rng(3)
-    M = sp.arr(rng.integers(0, q, size=(4, 4)))
-    H = sp.arr(rng.integers(0, q, size=(4, 4)))
-    H = sp.add(H, H.T)  # symmetric form
-    for W, piv in iter_rref_bases(sp, 4, 2):
-        stab = batch_stable_mask(sp, W, piv, M)
-        iso = batch_form_vanishes(sp, W, H)
-        for t in range(len(W)):
-            eb = EchelonBasis(sp, 4)
-            for row in W[t]:
-                eb.insert(row)
-            direct = all(eb.contains(sp.mat_vec(M, row)) for row in W[t])
-            assert bool(stab[t]) == direct
-            G = sp.matmul(sp.matmul(W[t], H), W[t].T)
-            assert bool(iso[t]) == (not G.any())
+    for q in (3, 9):
+        k = gf_by_order(q)
+        sp = KSpace(k)
+        rng = np.random.default_rng(3)
+        M = sp.arr(rng.integers(0, q, size=(4, 4)))
+        H = sp.arr(rng.integers(0, q, size=(4, 4)))
+        H = sp.add(H, H.T)  # symmetric form
+        none_stable = _companion_of_irreducible(k, 4)
+        all_stable = np.eye(4, dtype=np.int64)
+        for W, piv in iter_rref_bases(sp, 4, 2):
+            stab = batch_stable_mask(sp, W, piv, M)
+            iso = batch_form_vanishes(sp, W, H)
+            for t in range(len(W)):
+                eb = EchelonBasis(sp, 4)
+                for row in W[t]:
+                    eb.insert(row)
+                direct = all(eb.contains(sp.mat_vec(M, row)) for row in W[t])
+                assert bool(stab[t]) == direct
+                G = sp.matmul(sp.matmul(W[t], H), W[t].T)
+                assert bool(iso[t]) == (not G.any())
+            assert not batch_stable_mask(sp, W, piv, none_stable).any()
+            assert batch_stable_mask(sp, W, piv, all_stable).all()
+            # staged scans hand on batches that no basis survived
+            empty = W[:0]
+            assert batch_stable_mask(sp, empty, piv, M).shape == (0,)
+            assert batch_form_vanishes(sp, empty, H).shape == (0,)
 
 
 def test_gaussian_binomial_values():

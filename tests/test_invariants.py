@@ -1,8 +1,13 @@
 """Invariant pairs: validation, regularity, and matrix extraction."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import orbitcount
 from orbitcount.errors import SchemaError
 from orbitcount.invariants import (InvariantPair, MatrixE, delta_invariant,
                                    invariants_of, matching_check,
@@ -174,3 +179,39 @@ def test_pair_truncation_and_prec():
     cut = ab.truncated(5)
     assert cut.prec() == 5
     assert cut.a[0].agrees_with(ab.a[0])
+
+
+# each call must raise ValueError; python -O strips asserts, so a check
+# written as one would let the bad input through
+BAD_INPUTS = """
+from orbitcount.invariants import InvariantPair, MatrixE, variant_transport
+from orbitcount.linalg import smith_normal_form
+from orbitcount.local_field import EElem, TruncSeries, field_desc, imaginary_unit
+inert3, inert5 = field_desc(3, "inert"), field_desc(5, "inert")
+j = imaginary_unit(inert3)
+one = TruncSeries.one(inert3.k)
+cases = [
+    ("mixed fields", lambda: MatrixE([[EElem.one(inert3)]], inert5)),
+    ("imaginary input", lambda: variant_transport(
+        InvariantPair([j], [EElem.one(inert3)], inert3), j)),
+    ("non-square", lambda: smith_normal_form([[one, one]], 4)),
+]
+for name, call in cases:
+    try:
+        call()
+        print(name, "accepted")
+    except ValueError:
+        print(name, "rejected")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_input_checks_survive_optimize(flags):
+    src = os.path.dirname(os.path.dirname(orbitcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", BAD_INPUTS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split("\n")[:3] == [
+        "mixed fields rejected", "imaginary input rejected",
+        "non-square rejected"], proc.stdout

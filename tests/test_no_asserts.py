@@ -8,8 +8,8 @@ import pytest
 
 import orbitcount
 
-CLEARED = ["fqpoly", "gf", "group_ring", "hermitian", "order_lattices",
-           "verify"]
+CLEARED = ["fqpoly", "gf", "group_ring", "hermitian", "invariants",
+           "kspace", "linalg", "order_lattices", "verify"]
 
 
 @pytest.mark.parametrize("module", CLEARED)

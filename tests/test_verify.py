@@ -9,8 +9,11 @@ import pytest
 
 import orbitcount
 from orbitcount.errors import BudgetExceeded, SchemaError, TargetUnreachable
-from orbitcount.hermitian import build_hermitian_quotient, split_factor_check
+from orbitcount.hermitian import (build_hermitian_quotient, count_selfdual,
+                                  split_factor_check)
 from orbitcount.invariants import InvariantPair, invariants_of, strong_regularity
+from orbitcount.kspace import (batch_form_vanishes, batch_stable_mask,
+                               iter_rref_bases)
 from orbitcount.local_field import EElem, TruncSeries, field_desc
 from orbitcount.order_lattices import (build_order, build_quotient,
                                        enumerate_stable_submodules)
@@ -224,6 +227,44 @@ def test_sweep_deterministic():
 def test_naive_oracle_small_agreement():
     Q = build_quotient(build_order(_pi_pair(inert3, 2)), 12)
     assert naive_subspace_oracle(Q) == enumerate_stable_submodules(Q)
+
+
+def _all_masks_count(Q):
+    """The naive scan without staging: every test runs on every basis of
+    the batch and the masks are AND-ed."""
+    herm = hasattr(Q, "herm_re")
+    tot = 2 * Q.v if herm else Q.v
+    sheets = list(Q.herm_re) + list(Q.herm_im) if herm else []
+
+    def count(d):
+        hits = 0
+        for W, piv in iter_rref_bases(Q.space, tot, d, 2048):
+            mask = batch_stable_mask(Q.space, W, piv, Q.ops[0])
+            for op in Q.ops[1:]:
+                mask &= batch_stable_mask(Q.space, W, piv, op)
+            for H in sheets:
+                mask &= batch_form_vanishes(Q.space, W, H)
+            hits += int(mask.sum())
+        return hits
+
+    return count(Q.v) if herm else [count(Q.v - i) for i in range(Q.v + 1)]
+
+
+# q = 3, v = 3 rows scan [6 choose 3]_3 = 33,880 bases for Q_E; the q = 9
+# row runs kspace's prime-power table path
+@pytest.mark.parametrize("n,q,ext,v", [(2, 3, "split", 3), (2, 3, "inert", 3),
+                                       (1, 9, "split", 2)])
+def test_staged_naive_scan_matches_all_masks(n, q, ext, v):
+    ab = rand_invariants(n, field_desc(q, ext), v, seed=0)
+    P = verify_count_identity(ab).precision
+    order = build_order(ab)
+    Q = build_quotient(order, P)
+    QE = build_hermitian_quotient(order, ab.desc, P, fq=Q)
+    m = naive_subspace_oracle(Q)
+    assert m == _all_masks_count(Q) == enumerate_stable_submodules(Q)
+    N = naive_subspace_oracle(QE)
+    assert N == _all_masks_count(QE) == count_selfdual(QE)
+    assert len(m) == v + 1
 
 
 def test_naive_oracle_budget(monkeypatch):

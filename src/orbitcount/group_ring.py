@@ -325,16 +325,12 @@ def _find_generator(ab, basis_polys, taus, U, N):
 
 
 def group_counts(order, N, max_v=None):
-    """(m, selfdual count) by the shared quotient pipeline."""
-    from .hermitian import build_hermitian_quotient, count_selfdual
-    from .order_lattices import (DEFAULT_MAX_V, enumerate_stable_submodules,
-                                 quotient_from_gram)
-    budget = DEFAULT_MAX_V if max_v is None else max_v
+    """(m, selfdual count, quotient) by the shared quotient pipeline."""
+    from .order_lattices import DEFAULT_MAX_V, quotient_from_gram
+    from .verify import lattice_counts
     # R = O_F[s], so stability under s is stability under R
     Q = quotient_from_gram(order.G, [order.T_gen], N, order.val_delta, order.desc)
-    m = enumerate_stable_submodules(Q, max_v=budget)
-    QE = build_hermitian_quotient(None, order.desc, N, fq=Q)
-    Ncount = count_selfdual(QE, max_v=budget)
+    m, Ncount = lattice_counts(Q, DEFAULT_MAX_V if max_v is None else max_v)
     return m, Ncount, Q
 
 

@@ -29,16 +29,24 @@ does not generate the ring modulo pi raises InvariantViolation instead
 of losing lattices.  split_factor_check
 rechecks split instances through the bijection with all stable
 submodules.
+
+Q_E splits over the factors of T as Q does: its blocks are the doubles
+Q_g + j Q_g of Q's blocks, stable under every operator and orthogonal
+under both sheets.  A stable L is the sum of its parts L_g, and its
+orthogonal is the sum of theirs, so L is self-dual exactly when every
+L_g is self-dual in its block: N is the product of the blocks' counts.
+count_selfdual walks each block on its own; selfdual_submodules lists
+over the whole of Q_E.
 """
 
 import numpy as np
 
-from .errors import BudgetExceeded, require
+from .errors import require
 from .fqpoly import sqrt_mod
 from .kspace import EchelonBasis
-from .order_lattices import (DEFAULT_MAX_V, _poly_apply, build_quotient,
-                             gaussian_binomial, stable_submodules,
-                             torsion_dual, walk)
+from .order_lattices import (DEFAULT_MAX_V, _poly_apply, _refuse_above,
+                             build_quotient, stable_submodules, torsion_dual,
+                             walk)
 
 
 class HermQuotient:
@@ -48,14 +56,16 @@ class HermQuotient:
     the real and imaginary parts of the Hermitian pairing, as 2v x 2v
     symmetric resp. antisymmetric matrices over k.  ops carries every
     lifted module generator plus J, so stability means stability over
-    the full ring after base change.
+    the full ring after base change.  base is the quotient Q it doubles;
+    slices and blocks (the doubles of Q's blocks, or [Q_E] with one
+    factor) are built on first use.
     """
 
     __slots__ = ("v", "dim", "space", "P_op", "T_op", "J_op", "ops",
-                 "herm_re", "herm_im", "desc", "slices")
+                 "herm_re", "herm_im", "desc", "base", "_slices", "_blocks")
 
     def __init__(self, v, space, P_op, T_op, J_op, ops, herm_re, herm_im,
-                 desc, slices):
+                 desc, base):
         self.v = v
         self.dim = 2 * v
         self.space = space
@@ -66,7 +76,24 @@ class HermQuotient:
         self.herm_re = herm_re
         self.herm_im = herm_im
         self.desc = desc
-        self.slices = slices
+        self.base = base
+        self._slices = None
+        self._blocks = None
+
+    @property
+    def slices(self):
+        if self._slices is None:
+            self._slices = _hermitian_slices(self)
+        return self._slices
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            parts = self.base.blocks
+            self._blocks = [self] if len(parts) == 1 else [
+                build_hermitian_quotient(None, self.desc, None, fq=B)
+                for B in parts]
+        return self._blocks
 
 
 def _block2(space, a, b, c, d, v):
@@ -78,6 +105,11 @@ def _block2(space, a, b, c, d, v):
     return out
 
 
+def _lift(space, M, v):
+    zero = space.zeros((v, v))
+    return _block2(space, M, zero, zero, M, v)
+
+
 def build_hermitian_quotient(order, desc, N, fq=None):
     """Assemble Q_E from the order quotient (rebuilt unless passed in)."""
     Q = fq if fq is not None else build_quotient(order, N)
@@ -85,13 +117,9 @@ def build_hermitian_quotient(order, desc, N, fq=None):
     v = Q.v
     d = desc.jsq
     zero = space.zeros((v, v))
-
-    def lift(M):
-        return _block2(space, M, zero, zero, M, v)
-
-    lifted = [lift(M) for M in Q.ops]
+    lifted = [_lift(space, M, v) for M in Q.ops]
     P2 = lifted[0]
-    T2 = lift(Q.T_op)
+    T2 = _lift(space, Q.T_op, v)
     eye = space.arr(np.eye(v, dtype=np.int64))
     J2 = _block2(space, zero, space.mul(eye, d), eye, zero, v)
     herm_re = space.zeros((v, 2 * v, 2 * v))
@@ -120,43 +148,58 @@ def build_hermitian_quotient(order, desc, N, fq=None):
         stacked = np.concatenate([herm_re.reshape(v * 2 * v, 2 * v),
                                   herm_im.reshape(v * 2 * v, 2 * v)], axis=0)
         require(space.rank(stacked) == 2 * v, "Hermitian form is not perfect")
+    return HermQuotient(v, space, P2, T2, J2, lifted + [J2], herm_re, herm_im,
+                        desc, Q)
 
+
+def _hermitian_slices(QE):
+    """Q's slices carried to Q_E: one or two per factor g of T, by
+    whether j^2 is a square r(T)^2 modulo g."""
+    Q, space, v = QE.base, QE.space, QE.v
+    J2 = QE.J_op
     slices = []
     for g, (cuts, powers) in zip(Q.factors, Q.slices):
-        cuts = [lift(C) for C in cuts]
-        basis = [lift(M) for M in powers]
-        r = sqrt_mod(d, g, space.k)
+        cuts = [_lift(space, C, v) for C in cuts]
+        basis = [_lift(space, M, v) for M in powers]
+        r = sqrt_mod(QE.desc.jsq, g, space.k)
         if r is None:
             slices.append((cuts, basis + [space.matmul(J2, M) for M in basis]))
         else:
-            R = lift(_poly_apply(space, r, Q.T_op))
+            R = _lift(space, _poly_apply(space, r, Q.T_op), v)
             slices += [(cuts + [space.sub(J2, R)], basis),
                        (cuts + [space.add(J2, R)], basis)]
-    return HermQuotient(v, space, P2, T2, J2, lifted + [J2], herm_re, herm_im,
-                        desc, slices)
+    return slices
+
+
+def _selfdual(QE):
+    sheets = [H for r in range(QE.v) for H in (QE.herm_re[r], QE.herm_im[r])]
+    nodes = walk(QE.space, QE.dim, QE.P_op, QE.ops[1:], QE.slices, sheets,
+                 top=QE.v)
+    return [S for S in nodes if S.dim == QE.v]
 
 
 def selfdual_submodules(QE, max_v=DEFAULT_MAX_V):
     """Canonical bases of all self-dual stable subspaces of Q_E.
 
     Self-dual means stable and isotropic of dimension exactly v.  The
-    subspace walk runs with the Hermitian sheets, so it keeps isotropic
-    nodes only, and with the slices of Q_E.
+    subspace walk runs over the whole of Q_E, unfactored, with the
+    Hermitian sheets, so it keeps isotropic nodes only, and with the
+    slices of Q_E.
     """
-    v = QE.v
-    space = QE.space
-    if v > max_v:
-        raise BudgetExceeded(
-            f"quotient dimension {v} exceeds the enumeration budget {max_v}",
-            estimate=gaussian_binomial(2 * v, v, space.k.q))
-    sheets = [H for r in range(v) for H in (QE.herm_re[r], QE.herm_im[r])]
-    nodes = walk(space, QE.dim, QE.P_op, QE.ops[1:], QE.slices, sheets, top=v)
-    return [S for S in nodes if S.dim == v]
+    _refuse_above(QE.v, QE.dim, QE.space.k.q, max_v)
+    return _selfdual(QE)
 
 
 def count_selfdual(QE, max_v=DEFAULT_MAX_V):
-    """#N: self-dual stable lattices between R(O_E) and its dual."""
-    return len(selfdual_submodules(QE, max_v=max_v))
+    """#N: self-dual stable lattices between R(O_E) and its dual.
+
+    The product of the blocks' counts, each block walked on its own; the
+    budget max_v applies to the whole of Q_E."""
+    _refuse_above(QE.v, QE.dim, QE.space.k.q, max_v)
+    N = 1
+    for B in QE.blocks:
+        N *= len(_selfdual(B))
+    return N
 
 
 def split_factor_check(Q, QE, max_v=DEFAULT_MAX_V):

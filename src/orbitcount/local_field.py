@@ -39,7 +39,8 @@ class FieldDesc:
     __slots__ = ("p", "m", "q", "ext", "k", "jsq")
 
     def __init__(self, p, m, ext):
-        assert ext in (SPLIT, INERT)
+        if ext not in (SPLIT, INERT):
+            raise ValueError(f"unknown extension kind {ext!r}")
         self.p = p
         self.m = m
         self.k = gf_table(p, m)
@@ -109,7 +110,8 @@ class TruncSeries:
 
     @staticmethod
     def const(k, c, prec=None):
-        assert 0 <= c < k.q
+        if not 0 <= c < k.q:
+            raise ValueError(f"{c} is not an element index of F_{k.q}")
         return TruncSeries(k, (c,), 0, prec)
 
     @staticmethod
@@ -171,7 +173,8 @@ class TruncSeries:
         return min(self.prec, other.prec)
 
     def __add__(self, other):
-        assert self.k is other.k
+        if self.k is not other.k:
+            raise ValueError("series over different residue fields")
         prec = self._join_prec(other)
         if not self.coeffs:
             return other if prec is None else other.truncated(prec)
@@ -202,7 +205,8 @@ class TruncSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        assert self.k is other.k
+        if self.k is not other.k:
+            raise ValueError("series over different residue fields")
         # known modulo pi^min(val(x)+prec(y), val(y)+prec(x))
         if self.prec is None and other.prec is None:
             prec = None
@@ -238,7 +242,8 @@ class TruncSeries:
 
     def scaled(self, c):
         """Multiplication by the residue constant c (an index into k)."""
-        assert 0 <= c < self.k.q
+        if not 0 <= c < self.k.q:
+            raise ValueError(f"{c} is not an element index of F_{self.k.q}")
         if c == 0:
             return TruncSeries.zero(self.k, self.prec)
         row = self.k.mul[c]
@@ -322,7 +327,8 @@ class EElem:
     __slots__ = ("desc", "re", "im")
 
     def __init__(self, desc, re, im):
-        assert re.k is desc.k and im.k is desc.k
+        if re.k is not desc.k or im.k is not desc.k:
+            raise ValueError("components are not series over the field's k")
         self.desc = desc
         self.re = re
         self.im = im
@@ -346,14 +352,16 @@ class EElem:
     @staticmethod
     def from_split_pair(desc, u, v):
         """Element (u, v) of the split algebra F x F."""
-        assert desc.is_split
+        if not desc.is_split:
+            raise ValueError("split pairs need a split extension")
         inv2 = desc.k.inv[2 % desc.q]
         re = (u + v).scaled(inv2)
         im = (u - v).scaled(inv2)
         return EElem(desc, re, im)
 
     def split_pair(self):
-        assert self.desc.is_split
+        if not self.desc.is_split:
+            raise ValueError("split pairs need a split extension")
         return self.re + self.im, self.re - self.im
 
     # -- structure ---------------------------------------------------
@@ -369,7 +377,8 @@ class EElem:
         return self.re.is_zero()
 
     def real_series(self):
-        assert self.is_real(), "element has a nonzero imaginary part"
+        if not self.is_real():
+            raise ValueError("element has a nonzero imaginary part")
         return self.re
 
     def val(self):
@@ -403,7 +412,8 @@ class EElem:
     # -- ring ops ----------------------------------------------------
 
     def __add__(self, other):
-        assert self.desc == other.desc
+        if self.desc is not other.desc and self.desc != other.desc:
+            raise ValueError("elements of different fields")
         return EElem(self.desc, self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
@@ -413,7 +423,8 @@ class EElem:
         return EElem(self.desc, -self.re, -self.im)
 
     def __mul__(self, other):
-        assert self.desc == other.desc
+        if self.desc is not other.desc and self.desc != other.desc:
+            raise ValueError("elements of different fields")
         d = self.desc.jsq
         rr = self.re * other.re
         ii = self.im * other.im
@@ -473,7 +484,8 @@ def eta(x, desc=None):
     if isinstance(x, EElem):
         desc = x.desc
         x = x.real_series()
-    assert desc is not None
+    if desc is None:
+        raise ValueError("eta of a series needs its field description")
     v = x.val()
     if v is None:
         raise EtaUndefined("element is 0 at working precision; eta needs its valuation")
@@ -504,7 +516,8 @@ def valuation_and_eta(x, desc=None):
 
 
 def series_to_obj(s):
-    assert s.is_exact, "only exact series serialize losslessly"
+    if not s.is_exact:
+        raise ValueError("only exact series serialize losslessly")
     k = s.k
     return {"shift": s.shift if s.coeffs else 0,
             "coeffs": [k.digits(c) for c in s.coeffs]}
@@ -529,7 +542,8 @@ def series_from_obj(obj, k, field=""):
 def eelem_to_obj(x):
     desc = x.desc
     k = desc.k
-    assert x.re.is_exact and x.im.is_exact, "only exact elements serialize losslessly"
+    if not (x.re.is_exact and x.im.is_exact):
+        raise ValueError("only exact elements serialize losslessly")
     if desc.is_split:
         u, v = x.split_pair()
         return {"split": [series_to_obj(u), series_to_obj(v)]}

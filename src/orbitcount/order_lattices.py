@@ -11,8 +11,18 @@ the same change of basis, and the counting walk enumerates canonical
 echelon forms, never sampling.  The same walk, given the Hermitian
 sheets, finds the self-dual lattices on the O_E side.  Both walks step
 by simple extensions, one line over a residue field k[T]/(g) per
-irreducible factor g of T's minimal polynomial; the quotient carries
-those slices, built once from T with fqpoly's factoring.
+irreducible factor g of T's minimal polynomial; the quotient builds
+those slices from T with fqpoly's factoring on first use.
+
+The ring R = O_F[t]/P_a is complete and semilocal, so it is the
+product of its localizations R_g, one per factor g, and Q splits with
+it: Q = sum of the blocks Q_g = ker g(T)^v, each stable under every
+operator and orthogonal to the others under the torsion pairing.  A
+stable S is the sum of its parts S cap Q_g, whose colengths add, so the
+colength polynomial m(x) = sum m_i x^i is the product of the blocks'
+m_g(x).  The counts walk each block on its own, which costs the sum of
+the blocks' lattice sets where one walk over Q costs their product.
+The lister stable_submodules still walks Q whole.
 """
 
 import os
@@ -110,15 +120,18 @@ class FiniteQuotient:
     generate the order action, and T_op = ops[1] generates it modulo
     pi.  pairing[r-1][x][y] is the coefficient of pi^(-r) in the torsion
     form <x, y> in F/O_F, for r = 1..v.  factors are the distinct monic
-    irreducible factors g of T's minimal polynomial and slices the walk
-    slices ([g(T)], [T^0, .., T^(deg g - 1)]) in the same order.
+    irreducible factors g of T's minimal polynomial, slices the walk
+    slices ([g(T)], [T^0, .., T^(deg g - 1)]) in the same order, and
+    blocks the quotients Q_g (just [Q] with one factor); all three are
+    built on first use, so a quotient that is never walked skips them.
+    A block has no Smith exponents (dexps None).
     """
 
     __slots__ = ("v", "space", "P_op", "T_op", "ops", "pairing",
-                 "dexps", "desc", "factors", "slices")
+                 "dexps", "desc", "_factors", "_slices", "_blocks")
 
     def __init__(self, v, space, P_op, T_op, ops, pairing, dexps, desc,
-                 factors, slices):
+                 factors=None, slices=None):
         self.v = v
         self.space = space
         self.P_op = P_op
@@ -127,8 +140,30 @@ class FiniteQuotient:
         self.pairing = pairing
         self.dexps = dexps
         self.desc = desc
-        self.factors = factors
-        self.slices = slices
+        self._factors = factors
+        self._slices = slices
+        self._blocks = None
+
+    @property
+    def factors(self):
+        if self._factors is None:
+            self._factors, self._slices = _residue_slices(self.space,
+                                                          self.T_op)
+        return self._factors
+
+    @property
+    def slices(self):
+        if self._slices is None:
+            self._factors, self._slices = _residue_slices(self.space,
+                                                          self.T_op)
+        return self._slices
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            self._blocks = (_primary_blocks(self) if len(self.factors) > 1
+                            else [self])
+        return self._blocks
 
 
 def quotient_from_gram(G, mults, N, val_delta, desc):
@@ -204,9 +239,7 @@ def quotient_from_gram(G, mults, N, val_delta, desc):
         require(space.rank(pairing.reshape(v * v, v)) == v,
                 "torsion pairing is not perfect")
     T_op = fq_ops[0] if fq_ops else space.zeros((v, v))
-    factors, slices = _residue_slices(space, T_op)
-    return FiniteQuotient(v, space, P_op, T_op, ops, pairing, dexps, desc,
-                          factors, slices)
+    return FiniteQuotient(v, space, P_op, T_op, ops, pairing, dexps, desc)
 
 
 def build_quotient(order, N):
@@ -214,6 +247,9 @@ def build_quotient(order, N):
 
 
 def _node_budget():
+    """Node cap of one walk, and of the naive scan's subspace count:
+    ORBITAL_BUDGET, else 4,000,000.  The counts walk each block of a
+    quotient on its own, so for them it caps each block's walk."""
     cap = os.environ.get("ORBITAL_BUDGET")
     return int(cap) if cap else 4_000_000
 
@@ -355,23 +391,87 @@ def _projective_tuples(c, q, e=1):
             yield (0,) * (lead * e) + one + tail
 
 
-# -- slices: the residue fields of T ---------------------------------
+# -- slices and blocks: the residue fields of T ----------------------
 
 def _residue_slices(space, T):
-    """(factors, slices) of T: for each distinct monic irreducible factor
-    g of its minimal polynomial, of degree f, the walk slice
-    ([g(T)], [T^0, .., T^(f-1)]), with the cut left out when g(T) = 0.
-    On ker g(T) the basis acts as the field k[T]/(g)."""
+    """(factors, slices) of T: the distinct monic irreducible factors g
+    of its minimal polynomial and their walk slices."""
     if not len(T):
         return [], []
     factors = irreducible_factors(_matrix_min_poly(space, T), space.k)
+    return factors, [_factor_slice(space, g, T) for g in factors]
+
+
+def _factor_slice(space, g, T):
+    """The walk slice ([g(T)], [T^0, .., T^(f-1)]) of a factor g of
+    degree f, the cut left out when g(T) = 0.  On ker g(T) the basis
+    acts as the field k[T]/(g)."""
     powers = [space.arr(np.eye(len(T), dtype=np.int64))]
-    while len(powers) < max(len(g) for g in factors) - 1:
+    while len(powers) < len(g) - 1:
         powers.append(space.matmul(powers[-1], T))
-    cuts = [_poly_apply(space, g, T) for g in factors]
-    slices = [([C] if C.any() else [], powers[:len(g) - 1])
-              for g, C in zip(factors, cuts)]
-    return factors, slices
+    cut = _poly_apply(space, g, T)
+    return [cut] if cut.any() else [], powers
+
+
+def _primary_blocks(Q):
+    """The blocks Q_g = ker g(T)^v of Q, one per factor g, in Q.factors
+    order, each a FiniteQuotient with its restricted operators and
+    pairing sheets and the slice of its own g.
+
+    One change of basis B, the kernels side by side, carries every
+    operator to B^-1 A B and every sheet to B^t H B.  The operators
+    commute with T, so they keep each kernel, and the kernels are
+    orthogonal, so both come out block-diagonal; the check is explicit,
+    as is the check that g(T) is nilpotent on Q_g, without which the
+    walk on Q_g, given g's slice only, would miss the other factors.
+    A block of dimension d has exponent at most d, so the pairing sheets
+    past d vanish on it and it keeps the first d.
+    """
+    space, v = Q.space, Q.v
+    kernels = [space.right_nullspace(
+                   _mat_pow(space, _poly_apply(space, g, Q.T_op), v))
+               for g in Q.factors]
+    B = np.concatenate(kernels, axis=0).T
+    R, pivots = space.rref(np.concatenate(
+        [B, space.arr(np.eye(v, dtype=np.int64))], axis=1))
+    require(B.shape[1] == v and pivots == list(range(v)),
+            "the generalized kernels of T do not span Q")
+    Binv = R[:, v:]
+    spans = []
+    for K in kernels:
+        start = spans[-1].stop if spans else 0
+        spans.append(slice(start, start + len(K)))
+    inside = np.zeros((v, v), dtype=bool)
+    for s in spans:
+        inside[s, s] = True
+    ops = [space.matmul(space.matmul(Binv, A), B) for A in Q.ops]
+    sheets = [space.matmul(space.matmul(B.T, H), B) for H in Q.pairing]
+    require(not any(M[~inside].any() for M in ops + sheets),
+            "module operators or pairing sheets are not block-diagonal "
+            "over the factors of T")
+    blocks = []
+    for g, s in zip(Q.factors, spans):
+        d = s.stop - s.start
+        Tg = ops[1][s, s]
+        require(not _mat_pow(space, _poly_apply(space, g, Tg), d).any(),
+                "a block of Q sees more than its own factor of T")
+        require(not any(H[s, s].any() for H in sheets[d:]),
+                "a pairing sheet past a block's dimension is nonzero on it")
+        pairing = np.stack([H[s, s] for H in sheets[:d]])
+        blocks.append(FiniteQuotient(
+            d, space, ops[0][s, s], Tg, [M[s, s] for M in ops], pairing,
+            None, Q.desc, [g], [_factor_slice(space, g, Tg)]))
+    return blocks
+
+
+def _mat_pow(space, M, e):
+    out = space.arr(np.eye(len(M), dtype=np.int64))
+    while e:
+        if e & 1:
+            out = space.matmul(out, M)
+        M = space.matmul(M, M)
+        e >>= 1
+    return out
 
 
 def _matrix_min_poly(space, M):
@@ -407,24 +507,45 @@ def _poly_apply(space, poly, M):
     return out
 
 
-def stable_submodules(Q, max_v=DEFAULT_MAX_V):
-    """All submodules of Q stable under Q.ops, as canonical echelon bases."""
-    v = Q.v
+def _refuse_above(v, dim, q, max_v):
     if v > max_v:
         raise BudgetExceeded(
             f"quotient dimension {v} exceeds the enumeration budget {max_v}",
-            estimate=gaussian_binomial(v, v // 2, Q.space.k.q))
-    return walk(Q.space, v, Q.P_op, Q.ops[1:], Q.slices)
+            estimate=gaussian_binomial(dim, dim // 2, q))
+
+
+def stable_submodules(Q, max_v=DEFAULT_MAX_V):
+    """All submodules of Q stable under Q.ops, as canonical echelon bases.
+
+    One walk over the whole of Q, unfactored: the slow side that the
+    factored count is checked against."""
+    _refuse_above(Q.v, Q.v, Q.space.k.q, max_v)
+    return walk(Q.space, Q.v, Q.P_op, Q.ops[1:], Q.slices)
 
 
 def enumerate_stable_submodules(Q, max_v=DEFAULT_MAX_V):
-    """Counts m_i = #{stable S with dim(Q/S) = i}, i = 0..v."""
-    m = [0] * (Q.v + 1)
-    for S in stable_submodules(Q, max_v=max_v):
-        m[Q.v - S.dim] += 1
+    """Counts m_i = #{stable S with dim(Q/S) = i}, i = 0..v.
+
+    The polynomial product of the blocks' counts, each block walked on
+    its own; the budget max_v applies to the whole of Q."""
+    _refuse_above(Q.v, Q.v, Q.space.k.q, max_v)
+    m = [1]
+    for B in Q.blocks:
+        mb = [0] * (B.v + 1)
+        for S in walk(B.space, B.v, B.P_op, B.ops[1:], B.slices):
+            mb[B.v - S.dim] += 1
+        m = _poly_product(m, mb)
     require(m[0] == 1 and m[Q.v] == 1,
             "Q and 0 are not the only extreme nodes")
     return m
+
+
+def _poly_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def torsion_dual(Q, S):

@@ -123,6 +123,14 @@ def escalate_precision(build, precision):
             N = bumped
 
 
+def lattice_counts(Q, max_v):
+    """(m, N) of a quotient: the stable counts of Q and the self-dual
+    count of its double Q_E, both factored over the blocks of Q."""
+    m = enumerate_stable_submodules(Q, max_v=max_v)
+    QE = build_hermitian_quotient(None, Q.desc, None, fq=Q)
+    return m, count_selfdual(QE, max_v=max_v)
+
+
 def verify_count_identity(ab, precision=None, max_v=None):
     """Full pipeline verdict for a Lie-algebra invariant pair.
 
@@ -135,15 +143,9 @@ def verify_count_identity(ab, precision=None, max_v=None):
     n = ab.n
     cap = DEFAULT_MAX_V if max_v is None else max_v
     order = build_order(ab)
-
-    def counts(N):
-        Q = build_quotient(order, N)
-        m = enumerate_stable_submodules(Q, max_v=cap)
-        QE = build_hermitian_quotient(order, desc, N, fq=Q)
-        return m, count_selfdual(QE, max_v=cap)
-
     (m, Ncnt), N = escalate_precision(
-        counts, precision if precision is not None else auto_precision(n))
+        lambda N: lattice_counts(build_quotient(order, N), cap),
+        precision if precision is not None else auto_precision(n))
     flags = []
     if desc.p <= n:
         flags.append("outside_proven_range")

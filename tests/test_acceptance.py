@@ -13,6 +13,7 @@ from conftest import (SWEEP_CONFIGS, SWEEP_COUNT, SWEEP_MAX_VAL,
                       base_precision, build_pipeline, regen_instance, row_m)
 from orbitcount.errors import TargetUnreachable
 from orbitcount.group_ring import build_group_order, lie_transport
+from orbitcount.hermitian import selfdual_submodules
 from orbitcount.linalg import mat_mul, mat_transpose
 from orbitcount.local_field import TruncSeries, field_desc
 from orbitcount.order_lattices import stable_submodules, torsion_dual
@@ -149,6 +150,27 @@ def test_fast_counts_match_naive_and_matrix_oracles(sweep_results):
     assert mat_checks >= 20
     print(f"oracles agree: {m_checks} submodule scans, {n_checks} self-dual "
           f"scans, {mat_checks} matrix lattice scans")
+
+
+def test_factored_counts_match_whole_space_walk(sweep_results):
+    # a quotient with one factor of T is its own block, so only quotients
+    # with two or more take another path than one walk over Q and Q_E
+    rows, _ = sweep_results
+    checked = 0
+    for batch in rows.values():
+        for r in batch:
+            _, Q, QE, _ = build_pipeline(regen_instance(r))
+            if len(Q.factors) < 2:
+                continue
+            whole = [0] * (Q.v + 1)
+            for S in stable_submodules(Q):
+                whole[Q.v - S.dim] += 1
+            assert whole == row_m(r), r
+            assert len(selfdual_submodules(QE)) == r["N"], r
+            checked += 1
+    assert checked >= 400
+    print(f"factored counts equal the whole-space walk on {checked} "
+          f"multi-factor instances")
 
 
 def test_group_counts_match_lie_transport():

@@ -10,9 +10,11 @@ import orbitcount
 from orbitcount.errors import (GroupConstraintViolated, NotStronglyRegular,
                                SchemaError)
 from orbitcount.group_ring import build_group_order, group_counts, lie_transport
+from orbitcount.hermitian import build_hermitian_quotient, selfdual_submodules
 from orbitcount.invariants import InvariantPair
 from orbitcount.local_field import (EElem, TruncSeries, field_desc,
                                     imaginary_unit)
+from orbitcount.order_lattices import stable_submodules
 from orbitcount.verify import (_norm_one_constants, auto_precision,
                                escalate_precision, rand_group_instance,
                                verify_count_identity)
@@ -70,6 +72,31 @@ def test_transport_agreement_sampled():
                 vd = verify_count_identity(lie_transport(order))
                 assert (vd.m, vd.N) == (m, Ncnt)
                 assert vd.v == order.val_delta
+
+
+@pytest.mark.parametrize("q,seed,m", [(3, 5, [1, 2, 2, 1]),
+                                       (3, 17, [1, 2, 1]),
+                                       (5, 13, [1, 2, 1])])
+def test_two_factor_group_instance(q, seed, m):
+    # T_gen has two linear residual factors, so the counts walk two
+    # blocks; the whole-space listers and the Lie transport agree
+    desc = field_desc(q, "inert")
+    ab = rand_group_instance(2, desc, seed=seed)
+
+    def build(N):
+        order = build_group_order(ab, N)
+        return (order,) + group_counts(order, N)
+
+    (order, got, Ncnt, Q), _ = escalate_precision(build, auto_precision(2))
+    assert [len(g) - 1 for g in Q.factors] == [1, 1]
+    whole = [0] * (Q.v + 1)
+    for S in stable_submodules(Q):
+        whole[Q.v - S.dim] += 1
+    QE = build_hermitian_quotient(None, desc, None, fq=Q)
+    assert got == whole == m
+    assert Ncnt == len(selfdual_submodules(QE)) == 0
+    lv = verify_count_identity(lie_transport(order))
+    assert (lv.m, lv.N) == (got, Ncnt)
 
 
 def test_fixed_basis_shape():

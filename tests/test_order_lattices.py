@@ -11,6 +11,7 @@ import orbitcount
 from orbitcount.errors import (BudgetExceeded, NotStronglyRegular,
                                PrecisionExhausted, TargetUnreachable)
 from orbitcount.gf import gf_by_order
+from orbitcount.hermitian import build_hermitian_quotient, count_selfdual
 from orbitcount.invariants import InvariantPair
 from orbitcount.kspace import KSpace, batch_stable_mask, iter_rref_bases
 from orbitcount.local_field import EElem, TruncSeries, field_desc
@@ -53,6 +54,7 @@ def test_cyclic_chain_quotient():
     assert np.array_equal(Q.P_op, np.array([[0, 0], [1, 0]]))
     assert not Q.T_op.any()
     m = enumerate_stable_submodules(Q)
+    assert Q.blocks == [Q]
     assert m == [1, 1, 1]
     assert signed_sum(m, inert3) == 1
     assert signed_sum(m, split3) == 3
@@ -146,6 +148,20 @@ def test_walk_matches_rref_scan(q, blocks):
     assert found == scanned
 
 
+def test_blocks_built_on_first_use():
+    ab = rand_invariants(2, field_desc(5, "split"), 2, seed=3)
+    order = build_order(ab)
+    Q = build_quotient(order, 10)
+    QE = build_hermitian_quotient(order, ab.desc, 10, fq=Q)
+    assert Q._factors is Q._slices is Q._blocks is None
+    assert QE._slices is QE._blocks is None
+    assert enumerate_stable_submodules(Q) == [1, 2, 1]
+    assert count_selfdual(QE) == 4
+    assert [B.v for B in Q.blocks] == [1, 1]
+    assert [B.v for B in QE.blocks] == [1, 1]
+    assert QE._slices is None
+
+
 def test_torsion_duality_involution():
     ab = rand_invariants(2, inert3, target_val_delta=4, seed=9)
     Q = build_quotient(build_order(ab), 12)
@@ -217,10 +233,45 @@ except InvariantViolation as exc:
 """
 
 
+# Q = k^2 where T has the two linear factors x and x - 4, so the count
+# splits Q into two blocks of dimension 1; the quotients below are
+# assembled by hand, past quotient_from_gram's commutation check, with
+# an extra op or a pairing sheet that carries one block into the other
+_TWO_BLOCKS = """
+from orbitcount.errors import InvariantViolation
+from orbitcount.local_field import field_desc
+from orbitcount.order_lattices import (FiniteQuotient, build_order,
+                                       build_quotient,
+                                       enumerate_stable_submodules)
+from orbitcount.verify import rand_invariants
+
+ab = rand_invariants(2, field_desc(5, "split"), 2, seed=3)
+Q = build_quotient(build_order(ab), 10)
+if Q.factors != [[0, 1], [1, 1]]:
+    raise SystemExit(f"expected two linear factors, got {Q.factors}")
+mix = Q.space.arr([[0, 1], [0, 0]])
+ops, pairing = list(Q.ops), Q.pairing.copy()
+"""
+
+_COUNT_BAD = """
+bad = FiniteQuotient(Q.v, Q.space, Q.P_op, Q.T_op, ops, pairing, Q.dexps,
+                     Q.desc)
+try:
+    enumerate_stable_submodules(bad)
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+MIXING_OP = _TWO_BLOCKS + "ops.append(mix)" + _COUNT_BAD
+MIXING_SHEET = _TWO_BLOCKS + "pairing[0] = mix + mix.T" + _COUNT_BAD
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("script,message", [
     pytest.param(IDENTITY_AS_T, "does not generate", id="identity-as-T"),
     pytest.param(NON_COMMUTING, "do not commute", id="non-commuting"),
+    pytest.param(MIXING_OP, "not block-diagonal", id="mixing-op"),
+    pytest.param(MIXING_SHEET, "not block-diagonal", id="mixing-sheet"),
 ])
 def test_invariant_checks_survive_optimize(flags, script, message):
     src = os.path.dirname(os.path.dirname(orbitcount.__file__))

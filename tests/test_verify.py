@@ -341,3 +341,19 @@ def test_slow_line_walk_rows(n, q, ext, v, seed, m, N):
         Q = build_quotient(order, vd.precision)
         QE = build_hermitian_quotient(order, desc, vd.precision, fq=Q)
         assert split_factor_check(Q, QE)
+
+
+# v = 16 rows whose T has two linear residual factors: one walk over the
+# whole of Q and Q_E takes 11-12 s a row on a 2-core VM, the walks per
+# block about 0.1 s.  The default max_v = 12 refuses them.
+@pytest.mark.parametrize("seed,m,N", [
+    (3, [1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 7, 6, 5, 4, 3, 2, 1], 80),
+    (4, [1, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, 2, 1], 81),
+])
+def test_two_factor_v16_rows(seed, m, N):
+    ab = rand_invariants(2, field_desc(5, "split"), 16, seed=seed)
+    with pytest.raises(BudgetExceeded):
+        verify_count_identity(ab)
+    vd = verify_count_identity(ab, max_v=40)
+    assert vd.passed and vd.v == 16
+    assert vd.m == m and vd.N == N

@@ -18,7 +18,8 @@ import random
 
 from .errors import (GeneratorNotFound, GroupConstraintViolated, Indeterminate,
                      NotStronglyRegular, SchemaError, require)
-from .invariants import InvariantPair, char_poly_disc, moment_sequence, _vanishes
+from .invariants import (InvariantPair, char_poly_disc, moment_sequence,
+                         regular_val, _vanishes)
 from .linalg import (char_coeffs, mat_det, mat_identity, mat_mul,
                      mat_transpose, smith_normal_form)
 from .local_field import EElem, TruncSeries, imaginary_unit
@@ -162,10 +163,9 @@ def build_group_order(ab, N):
         raise GroupConstraintViolated("Nm(a_n) must be 1")
     theta_unit = an.sigma() if n % 2 == 0 else -an.sigma()
 
-    disc = char_poly_disc(ab)
-    val_disc = disc.val()
+    val_disc = regular_val(char_poly_disc(ab), ab, "disc(P_a)")
     if val_disc is None:
-        raise NotStronglyRegular("disc(P_a) vanishes at working precision")
+        raise NotStronglyRegular("disc(P_a) is 0")
 
     tinv = _tinv_poly(ab)
     # b compatible with theta: sigma(b_l) = b'(t^(-l)) for l < n suffices

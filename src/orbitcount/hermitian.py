@@ -35,8 +35,8 @@ Q_g + j Q_g of Q's blocks, stable under every operator and orthogonal
 under both sheets.  A stable L is the sum of its parts L_g, and its
 orthogonal is the sum of theirs, so L is self-dual exactly when every
 L_g is self-dual in its block: N is the product of the blocks' counts.
-count_selfdual walks each block on its own; selfdual_submodules lists
-over the whole of Q_E.
+count_selfdual doubles and walks each block of Q on its own;
+selfdual_submodules lists over the whole of Q_E.
 """
 
 import numpy as np
@@ -57,12 +57,11 @@ class HermQuotient:
     symmetric resp. antisymmetric matrices over k.  ops carries every
     lifted module generator plus J, so stability means stability over
     the full ring after base change.  base is the quotient Q it doubles;
-    slices and blocks (the doubles of Q's blocks, or [Q_E] with one
-    factor) are built on first use.
+    slices are built on first use.
     """
 
     __slots__ = ("v", "dim", "space", "P_op", "T_op", "J_op", "ops",
-                 "herm_re", "herm_im", "desc", "base", "_slices", "_blocks")
+                 "herm_re", "herm_im", "desc", "base", "_slices")
 
     def __init__(self, v, space, P_op, T_op, J_op, ops, herm_re, herm_im,
                  desc, base):
@@ -78,22 +77,12 @@ class HermQuotient:
         self.desc = desc
         self.base = base
         self._slices = None
-        self._blocks = None
 
     @property
     def slices(self):
         if self._slices is None:
             self._slices = _hermitian_slices(self)
         return self._slices
-
-    @property
-    def blocks(self):
-        if self._blocks is None:
-            parts = self.base.blocks
-            self._blocks = [self] if len(parts) == 1 else [
-                build_hermitian_quotient(None, self.desc, None, fq=B)
-                for B in parts]
-        return self._blocks
 
 
 def _block2(space, a, b, c, d, v):
@@ -190,15 +179,16 @@ def selfdual_submodules(QE, max_v=DEFAULT_MAX_V):
     return _selfdual(QE)
 
 
-def count_selfdual(QE, max_v=DEFAULT_MAX_V):
+def count_selfdual(Q, max_v=DEFAULT_MAX_V):
     """#N: self-dual stable lattices between R(O_E) and its dual.
 
-    The product of the blocks' counts, each block walked on its own; the
-    budget max_v applies to the whole of Q_E."""
-    _refuse_above(QE.v, QE.dim, QE.space.k.q, max_v)
+    Q is the order quotient; only the doubles Q_g + j Q_g of its blocks
+    are built, and N is the product of their counts, each block walked
+    on its own.  The budget max_v applies to the whole of Q_E."""
+    _refuse_above(Q.v, 2 * Q.v, Q.space.k.q, max_v)
     N = 1
-    for B in QE.blocks:
-        N *= len(_selfdual(B))
+    for B in Q.blocks:
+        N *= len(_selfdual(build_hermitian_quotient(None, Q.desc, None, fq=B)))
     return N
 
 

@@ -7,6 +7,13 @@ b_i = e0*(A^i e0); a pair (a, b) is all the counting machinery ever
 sees, so this module also hosts validation (parity and integrality),
 the two discriminant-like quantities Delta and disc(P_a), and the
 membership predicates for the twisted symmetric spaces.
+
+Delta and disc(P_a) are the same kind of object: the determinant of
+the n x n Hankel matrix (f(t^(i+j))) of a linear form f on E[t]/P_a,
+f = b' for Delta and f = Tr for disc(P_a) = det (Tr(t^(i+j))).  Both
+sequences f(t^m) obey P_a's recurrence, and both determinants are
+division-free, so exact inputs give exact values in every odd
+characteristic, p <= n included.
 """
 
 from .errors import Indeterminate, NotStronglyRegular, SchemaError, require
@@ -188,23 +195,57 @@ def invariants_of(A):
     return InvariantPair(char_poly_coeffs(A), moment_vector(A), A.desc)
 
 
-def moment_sequence(ab, count):
-    """Values b'(t^m) for m = 0..count-1.
+def _recurrence(ab, s, count):
+    """Extend s_0..s_(n-1) to s_0..s_(count-1) by P_a's recurrence.
 
-    For m < n these are the given b_m; beyond that t^m is reduced
-    modulo the characteristic polynomial, giving the linear recurrence
-    s_m = sum_{i=1..n} (-1)^(i+1) a_i s_(m-i).
+    Any sequence m -> f(t^m), f linear on E[t]/P_a, satisfies
+    s_m = sum_{i=1..n} (-1)^(i+1) a_i s_(m-i) for m >= n, because t^n
+    reduces to that combination of lower powers modulo P_a.
     """
     n = ab.n
-    s = list(ab.b[:count])
+    s = list(s[:count])
     zero = EElem.zero(ab.desc)
-    for m in range(n, count):
+    for m in range(len(s), count):
         acc = zero
         for i in range(1, n + 1):
             term = ab.a[i - 1] * s[m - i]
             acc = acc + term if i % 2 == 1 else acc - term
         s.append(acc)
     return s
+
+
+def moment_sequence(ab, count):
+    """Values b'(t^m) for m = 0..count-1: the given b_m for m < n, then
+    P_a's recurrence."""
+    return _recurrence(ab, ab.b, count)
+
+
+def power_sums(ab, count):
+    """Power sums p_m = Tr(t^m) of the roots of P_a, m = 0..count-1.
+
+    p_0 = n, and Newton's identities give p_m for 0 < m < n:
+    p_m = sum_{i<m} (-1)^(i-1) a_i p_(m-i) + (-1)^(m-1) m a_m; from
+    m = n on, P_a's recurrence.  Both have integer coefficients, so no
+    division is needed, whatever the characteristic.
+    """
+    n = ab.n
+    one = EElem.one(ab.desc)
+    p = [one.scaled(n % ab.desc.p)]
+    for m in range(1, min(n, count)):
+        acc = ab.a[m - 1].scaled(m % ab.desc.p)
+        if m % 2 == 0:
+            acc = -acc
+        for i in range(1, m):
+            term = ab.a[i - 1] * p[m - i]
+            acc = acc + term if i % 2 == 1 else acc - term
+        p.append(acc)
+    return _recurrence(ab, p, count)
+
+
+def _hankel_det(s, n, desc):
+    """det (s_(i+j))_{0<=i,j<n}, division-free."""
+    hankel = [[s[i + j] for j in range(n)] for i in range(n)]
+    return mat_det(hankel, EElem.zero(desc), EElem.one(desc))
 
 
 def delta_invariant(ab):
@@ -215,11 +256,7 @@ def delta_invariant(ab):
     a nonvanishing imaginary digit would mean corrupted input and
     raises InvariantViolation.
     """
-    s = moment_sequence(ab, 2 * ab.n - 1)
-    gram = [[s[i + j] for j in range(ab.n)] for i in range(ab.n)]
-    zero = EElem.zero(ab.desc)
-    one = EElem.one(ab.desc)
-    delta = mat_det(gram, zero, one)
+    delta = _hankel_det(moment_sequence(ab, 2 * ab.n - 1), ab.n, ab.desc)
     require(_vanishes(delta.im), "Delta has a nonzero imaginary part")
     return delta
 
@@ -245,26 +282,31 @@ def v_invariant(A):
     return v
 
 
+def regular_val(x, ab, what):
+    """val x for x = disc(P_a) or Delta of ab; None when x is exactly 0.
+
+    A value that vanishes only modulo the working precision is
+    inconclusive and raises Indeterminate with a doubled-precision hint.
+    """
+    if x.val() is not None:
+        return x.val()
+    if x.prec is None:
+        return None
+    cur = ab.prec() or 0
+    raise Indeterminate(f"{what} vanishes at working precision",
+                        needed=2 * max(cur, 1))
+
+
 def strong_regularity(ab):
     """Joint regularity report for disc(P_a) and Delta_{a,b}.
 
     Exact zeros make the instance genuinely singular; zeros at the
-    working precision are inconclusive and raise Indeterminate with a
-    doubled-precision hint.
+    working precision are inconclusive and raise Indeterminate (see
+    regular_val).
     """
-    res = char_poly_disc(ab)
     delta = delta_invariant(ab)
-
-    def classify(x, what):
-        if x.val() is not None:
-            return x.val()
-        if x.is_zero():
-            return None
-        cur = ab.prec() or 0
-        raise Indeterminate(f"{what} vanishes at working precision", needed=2 * max(cur, 1))
-
-    val_disc = classify(res, "disc(P_a)")
-    val_delta = classify(delta, "Delta")
+    val_disc = regular_val(char_poly_disc(ab), ab, "disc(P_a)")
+    val_delta = regular_val(delta, ab, "Delta")
     if val_disc is None or val_delta is None:
         return RegularityReport(val_disc, val_delta, False, None, delta)
     return RegularityReport(val_disc, val_delta, True, eta(delta, ab.desc),
@@ -272,25 +314,30 @@ def strong_regularity(ab):
 
 
 def char_poly_disc(ab):
-    """disc(P_a) = (-1)^(n(n-1)/2) Res(P_a, P_a') for the monic P_a.
+    """disc(P_a) = det (Tr(t^(i+j)))_{0<=i,j<n}, for the monic P_a.
 
-    The derivative multiplies coefficients by integers <= n < p, which
-    stay invertible scalars; even when p <= n the Sylvester determinant
-    still computes the right resultant since P_a is monic.
+    With V the Vandermonde matrix of the roots r_1..r_n, V^T V is the
+    Hankel matrix of the power sums p_m = sum_k r_k^m = Tr(t^m), so its
+    determinant is det(V)^2 = prod_{k<l} (r_k - r_l)^2 = disc(P_a).
+    Both sides are polynomials with integer coefficients in a_1..a_n
+    (power_sums needs no division), so the identity holds over
+    Z[a_1..a_n] and survives reduction to characteristic p, p <= n
+    included, where p_0 = n and the Newton terms m a_m may vanish.
+    Delta is the same Hankel determinant over b' in place of Tr.
+
+    The value is reported modulo pi^N, N the least precision of the
+    a_i; for integral a_i it is known that far, as an integer
+    polynomial in them.  This expansion can track further digits where
+    another (the Sylvester resultant) would not, so they are dropped:
+    whether disc vanishes at the working precision does not depend on
+    how the determinant was expanded.
     """
-    from .linalg import sylvester_resultant
     n = ab.n
-    zero = EElem.zero(ab.desc)
-    one = EElem.one(ab.desc)
     if n == 1:
-        return one
-    # P_a in descending coefficients: t^n + sum (-1)^i a_i t^(n-i).
-    p = [one]
-    for i in range(1, n + 1):
-        p.append(ab.a[i - 1] if i % 2 == 0 else -ab.a[i - 1])
-    dp = [p[i].scaled((n - i) % ab.desc.p) for i in range(n)]
-    res = sylvester_resultant(p, dp, zero, one)
-    return -res if (n * (n - 1) // 2) % 2 == 1 else res
+        return EElem.one(ab.desc)
+    disc = _hankel_det(power_sums(ab, 2 * n - 1), n, ab.desc)
+    precs = [x.prec for x in ab.a if x.prec is not None]
+    return disc.truncated(min(precs)) if precs else disc
 
 
 def membership_check(A, which):

@@ -63,23 +63,6 @@ def mat_det(A, zero, one):
     return char_coeffs(A, zero, one)[-1]
 
 
-def sylvester_resultant(p, q, zero, one):
-    """Resultant of two coefficient lists given in descending degree order."""
-    m = len(p) - 1
-    n = len(q) - 1
-    size = m + n
-    if size == 0:
-        return one
-    S = [[zero] * size for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(p):
-            S[i][i + j] = c
-    for i in range(m):
-        for j, c in enumerate(q):
-            S[n + i][i + j] = c
-    return mat_det(S, zero, one)
-
-
 def _row_sub(M, i, r, c):
     M[i] = [a - c * b for a, b in zip(M[i], M[r])]
 

@@ -20,9 +20,10 @@ from .errors import (BudgetExceeded, Indeterminate, InvariantViolation,
                      TargetUnreachable, require)
 from .fqpoly import is_irreducible
 from .group_ring import build_group_order, group_counts
-from .hermitian import build_hermitian_quotient, count_selfdual
-from .invariants import (InvariantPair, MatrixE, invariants_of,
-                         strong_regularity, v_invariant)
+from .hermitian import count_selfdual
+from .invariants import (InvariantPair, MatrixE, char_poly_disc,
+                         delta_invariant, invariants_of, strong_regularity,
+                         v_invariant)
 from .kspace import (KSpace, batch_form_vanishes, batch_stable_mask,
                      gaussian_binomial, iter_rref_bases)
 from .local_field import (EElem, TruncSeries, eelem_to_obj, field_desc,
@@ -125,10 +126,10 @@ def escalate_precision(build, precision):
 
 def lattice_counts(Q, max_v):
     """(m, N) of a quotient: the stable counts of Q and the self-dual
-    count of its double Q_E, both factored over the blocks of Q."""
+    count of its double Q_E, both factored over the blocks of Q (only
+    the blocks are doubled)."""
     m = enumerate_stable_submodules(Q, max_v=max_v)
-    QE = build_hermitian_quotient(None, Q.desc, None, fq=Q)
-    return m, count_selfdual(QE, max_v=max_v)
+    return m, count_selfdual(Q, max_v=max_v)
 
 
 def verify_count_identity(ab, precision=None, max_v=None):
@@ -419,22 +420,25 @@ def rand_invariants(n, desc, target_val_delta=None, seed=0, family="generic"):
         b = [jp[i] * EElem.from_real(desc, _rand_real_poly(rng, k, deg))
              for i in range(n)]
         ab = InvariantPair(a, b, desc)
-        try:
-            reg = strong_regularity(ab)
-        except Indeterminate:
+        # Delta first, so a draw it rejects never pays for disc(P_a).
+        # Draws are exact, so a vanishing value is 0.
+        delta = delta_invariant(ab)
+        if delta.val() is None:
             continue
-        if not reg.strongly_regular:
+        if target_val_delta is not None:
+            gap = target_val_delta - delta.val()
+            if gap < 0 or gap % n:
+                continue
+        if char_poly_disc(ab).val() is None:
             continue
         if target_val_delta is None:
             return ab.validate()
-        gap = target_val_delta - reg.val_delta
-        if gap < 0 or gap % n:
-            continue
         if gap:
+            # disc(P_a) depends on a only; Delta moves by n per power of pi
             lift = EElem.from_real(desc, TruncSeries.pi_pow(k, gap // n))
             ab = InvariantPair(a, [x * lift for x in b], desc)
-            reg = strong_regularity(ab)
-        require(reg.val_delta == target_val_delta,
+            delta = delta_invariant(ab)
+        require(delta.val() == target_val_delta,
                 "scaling b did not move val Delta onto the target")
         return ab.validate()
     raise TargetUnreachable(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_pipeline
+from orbitcount import hermitian
 from orbitcount.errors import BudgetExceeded, TargetUnreachable
 from orbitcount.fqpoly import mulmod, sqrt_mod
 from orbitcount.gf import gf_by_order
@@ -15,7 +16,7 @@ from orbitcount.local_field import EElem, TruncSeries, field_desc
 from orbitcount.order_lattices import (_matrix_min_poly, _poly_apply,
                                        build_order, build_quotient,
                                        enumerate_stable_submodules, walk)
-from orbitcount.verify import rand_invariants
+from orbitcount.verify import lattice_counts, rand_invariants
 
 inert3 = field_desc(3, "inert")
 split3 = field_desc(3, "split")
@@ -35,18 +36,18 @@ def _herm(ab, N=10):
 def test_inert_even_chain():
     Q, QE = _herm(_pi_pair(inert3, 2))
     assert QE.dim == 4 and QE.v == 2
-    assert count_selfdual(QE) == 1
+    assert count_selfdual(Q) == 1
 
 
 def test_inert_odd_chain_has_none():
-    Q, QE = _herm(_pi_pair(inert3, 3))
-    assert count_selfdual(QE) == 0
+    Q, _ = _herm(_pi_pair(inert3, 3))
+    assert count_selfdual(Q) == 0
 
 
 def test_split_chain_matches_sum():
     Q, QE = _herm(_pi_pair(split3, 3))
     m = enumerate_stable_submodules(Q)
-    N = count_selfdual(QE)
+    N = count_selfdual(Q)
     assert sum(m) == N == 4
     assert split_factor_check(Q, QE)
 
@@ -84,9 +85,32 @@ def test_selfdual_budget():
     ab = _pi_pair(inert3, 4)
     o = build_order(ab)
     Q = build_quotient(o, 12)
-    QE = build_hermitian_quotient(o, inert3, 12, fq=Q)
     with pytest.raises(BudgetExceeded):
-        count_selfdual(QE, max_v=3)
+        count_selfdual(Q, max_v=3)
+
+
+def test_selfdual_count_of_quotient_doubles_blocks_only(monkeypatch):
+    """Given Q, count_selfdual builds Q_g + j Q_g per block of Q, never
+    the whole Q_E, and refuses exactly where Q_E itself is refused."""
+    ab = rand_invariants(2, field_desc(5, "split"), 2, seed=3)
+    Q = build_quotient(build_order(ab), 10)
+    QE = build_hermitian_quotient(None, ab.desc, None, fq=Q)
+    built = []
+    real = hermitian.build_hermitian_quotient
+
+    def spy(*args, fq=None):
+        built.append(fq.v)
+        return real(*args, fq=fq)
+
+    monkeypatch.setattr(hermitian, "build_hermitian_quotient", spy)
+    assert lattice_counts(Q, 8) == ([1, 2, 1], 4)
+    assert built == [1, 1]
+    assert len(selfdual_submodules(QE)) == 4
+    for count in (lambda: count_selfdual(Q, max_v=1),
+                  lambda: selfdual_submodules(QE, max_v=1)):
+        with pytest.raises(BudgetExceeded) as exc:
+            count()
+        assert exc.value.estimate == 806  # [4 choose 2]_5
 
 
 def test_random_agreement_with_split_factorization():
@@ -99,7 +123,7 @@ def test_random_agreement_with_split_factorization():
             except TargetUnreachable:
                 continue
             Q, QE = _herm(ab)
-            assert count_selfdual(QE) == sum(enumerate_stable_submodules(Q))
+            assert count_selfdual(Q) == sum(enumerate_stable_submodules(Q))
             assert split_factor_check(Q, QE)
             hits += 1
         if hits >= 10:

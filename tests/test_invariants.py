@@ -1,6 +1,7 @@
 """Invariant pairs: validation, regularity, and matrix extraction."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -8,15 +9,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import orbitcount
-from orbitcount.errors import SchemaError
-from orbitcount.invariants import (InvariantPair, MatrixE, delta_invariant,
-                                   invariants_of, matching_check,
-                                   membership_check, moment_sequence,
-                                   strong_regularity, v_invariant,
-                                   variant_transport)
+from orbitcount.errors import Indeterminate, NotStronglyRegular, SchemaError
+from orbitcount.group_ring import build_group_order, lie_transport
+from orbitcount.invariants import (InvariantPair, MatrixE, char_poly_disc,
+                                   delta_invariant, invariants_of,
+                                   matching_check, membership_check,
+                                   moment_sequence, strong_regularity,
+                                   v_invariant, variant_transport)
+from orbitcount.linalg import mat_det
 from orbitcount.local_field import (EElem, TruncSeries, field_desc,
                                     imaginary_unit)
-from orbitcount.verify import rand_invariants
+from orbitcount.verify import (auto_precision, rand_group_instance,
+                               rand_invariants)
 
 inert3 = field_desc(3, "inert")
 split3 = field_desc(3, "split")
@@ -162,6 +166,124 @@ def test_moment_sequence_prefix():
     # s_2 follows the recurrence a_1 s_1 - a_2 s_0
     want = ab.a[0] * s[1] - ab.a[1] * s[0]
     assert s[2].agrees_with(want)
+
+
+def _sylvester_disc(ab):
+    """Slow side for char_poly_disc: (-1)^(n(n-1)/2) Res(P_a, P_a') as
+    the (2n - 1) x (2n - 1) Sylvester determinant of P_a and P_a'."""
+    n, desc = ab.n, ab.desc
+    zero, one = EElem.zero(desc), EElem.one(desc)
+    if n == 1:
+        return one
+    # descending coefficients of P_a = t^n + sum (-1)^i a_i t^(n-i)
+    p = [one] + [ab.a[i - 1] if i % 2 == 0 else -ab.a[i - 1]
+                 for i in range(1, n + 1)]
+    dp = [p[i].scaled((n - i) % desc.p) for i in range(n)]
+    size = 2 * n - 1
+    S = [[zero] * size for _ in range(size)]
+    for i in range(n - 1):
+        for j, c in enumerate(p):
+            S[i][i + j] = c
+    for i in range(n):
+        for j, c in enumerate(dp):
+            S[n - 1 + i][i + j] = c
+    res = mat_det(S, zero, one)
+    return -res if (n * (n - 1) // 2) % 2 else res
+
+
+def _lie_pairs(desc, n, rng):
+    """Exact parity-correct pairs: a = 0 (P_a = t^n) and two random a.
+    b = (0, .., 0, j^(n-1)) makes Delta a unit at every precision, so
+    strong_regularity can only be indeterminate through disc(P_a)."""
+    k = desc.k
+    jp = [EElem.one(desc)]
+    for _ in range(n):
+        jp.append(jp[-1] * imaginary_unit(desc))
+    b = [EElem.zero(desc)] * (n - 1) + [jp[n - 1]]
+    out = [InvariantPair([EElem.zero(desc)] * n, b, desc)]
+    for _ in range(2):
+        a = []
+        for i in range(1, n + 1):
+            lo = rng.choice((0, 0, 1, 2))
+            s = TruncSeries(k, [rng.randrange(k.q) for _ in range(3)], lo)
+            a.append(jp[i] * EElem.from_real(desc, s))
+        out.append(InvariantPair(a, b, desc))
+    return out
+
+
+def _check_disc(ab):
+    """char_poly_disc agrees with the Sylvester side: same digits, same
+    precision (exact values are equal), so the same valuation and the
+    same vanishing."""
+    want = _sylvester_disc(ab)
+    got = char_poly_disc(ab)
+    assert got.val() == want.val()
+    assert got.prec == want.prec
+    assert got.agrees_with(want)
+    return want
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_disc_matches_sylvester_on_lie_pairs(q):
+    """n = 1..5, both extensions, p <= n included; exact and truncated."""
+    for ext in ("split", "inert"):
+        desc = field_desc(q, ext)
+        rng = random.Random(f"disc:{q}:{ext}")
+        for n in range(1, 6):
+            for ab in _lie_pairs(desc, n, rng):
+                for N in (None, 1, 2, 3, 5):
+                    cut = ab if N is None else ab.truncated(N)
+                    want = _check_disc(cut)
+                    indeterminate = want.val() is None and want.prec is not None
+                    try:
+                        rep = strong_regularity(cut)
+                    except Indeterminate:
+                        assert indeterminate, (n, N)
+                    else:
+                        assert not indeterminate, (n, N)
+                        assert rep.val_disc == want.val()
+
+
+def _group_pair(desc, x):
+    """n = 2 group pair with a_2 = 1, a_1 = x + sigma(x), b = (1, a_1 / 2),
+    as rand_group_instance builds them, for a real x."""
+    one = EElem.one(desc)
+    a1 = x + x.sigma()
+    half = EElem.from_real(desc, TruncSeries.const(desc.k, desc.k.inv[2]))
+    return InvariantPair([a1, one], [one, a1 * half], desc)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_disc_matches_sylvester_on_group_pairs(q):
+    """Group pairs for n <= 2 and the Lie pairs lie_transport makes of
+    them, which are truncated at the order's working precision; then a
+    group pair whose disc vanishes modulo pi^2 only, at several
+    precisions, and one whose disc is exactly 0.  build_group_order
+    classifies disc as strong_regularity does."""
+    for ext in ("split", "inert"):
+        desc = field_desc(q, ext)
+        for n in (1, 2):
+            for seed in range(3):
+                ab = rand_group_instance(n, desc, seed=seed)
+                _check_disc(ab)
+                N = auto_precision(n)
+                _check_disc(lie_transport(build_group_order(ab, N)))
+        # x = 1 + pi^2: a_1 = 2 + 2 pi^2, disc = a_1^2 - 4 = 8 pi^2 + 4 pi^4
+        ab = _group_pair(desc, EElem.from_real(
+            desc, TruncSeries(desc.k, [1, 0, 1], 0)))
+        for N in (1, 2, 3, None):
+            cut = ab if N is None else ab.truncated(N)
+            want = _check_disc(cut)
+            if N is not None and N <= 2:
+                assert want.val() is None
+                with pytest.raises(Indeterminate, match="disc"):
+                    build_group_order(cut, auto_precision(2))
+            else:
+                assert want.val() == 2
+        singular = _group_pair(desc, EElem.one(desc))
+        assert _check_disc(singular).is_zero()
+        with pytest.raises(NotStronglyRegular, match="disc"):
+            build_group_order(singular, auto_precision(2))
 
 
 @given(st.integers(0, 10_000), st.sampled_from([1, 2]),

@@ -114,6 +114,25 @@ def test_sampler_deterministic_and_targeted():
     assert hits >= 12
 
 
+def test_sampler_draws_pinned():
+    """Draws of rand_invariants, recorded when every draw computed
+    disc(P_a) and Delta together; testing Delta first must reject and
+    accept exactly the same draws.  A null draw is TargetUnreachable."""
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "sampler_draws.json")
+    with open(path) as fh:
+        pinned = json.load(fh)
+    assert len(pinned) == 100
+    for rec in pinned:
+        n, q, ext, target, family = rec["case"]
+        try:
+            got = instance_to_obj(rand_invariants(
+                n, field_desc(q, ext), target, seed=1, family=family))
+        except TargetUnreachable:
+            got = None
+        assert got == rec["draw"], rec["case"]
+
+
 def test_family_coefficient_shapes():
     for desc in (inert3, inert5):
         for seed in range(5):
@@ -263,7 +282,7 @@ def test_staged_naive_scan_matches_all_masks(n, q, ext, v):
     m = naive_subspace_oracle(Q)
     assert m == _all_masks_count(Q) == enumerate_stable_submodules(Q)
     N = naive_subspace_oracle(QE)
-    assert N == _all_masks_count(QE) == count_selfdual(QE)
+    assert N == _all_masks_count(QE) == count_selfdual(Q)
     assert len(m) == v + 1
 
 

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 the identity fails, 2 bad input or usage,
 3 enumeration budget exceeded.  The environment variable ORBITAL_BUDGET
-caps the enumeration node count for the lattice scans.
+caps the candidate lines of each subspace walk and the subspace count
+of the naive scans.
 """
 
 import argparse

@@ -18,11 +18,13 @@ import random
 
 from .errors import (GeneratorNotFound, GroupConstraintViolated, Indeterminate,
                      NotStronglyRegular, SchemaError, require)
+from .hermitian import lattice_counts
 from .invariants import (InvariantPair, char_poly_disc, moment_sequence,
                          regular_val, _vanishes)
 from .linalg import (char_coeffs, mat_det, mat_identity, mat_mul,
                      mat_transpose, smith_normal_form)
 from .local_field import EElem, TruncSeries, imaginary_unit
+from .order_lattices import quotient_from_gram
 
 
 class GroupOrderData:
@@ -324,13 +326,11 @@ def _find_generator(ab, basis_polys, taus, U, N):
         "no residual generator found within the attempt cap")
 
 
-def group_counts(order, N, max_v=None):
+def group_counts(order, N):
     """(m, selfdual count, quotient) by the shared quotient pipeline."""
-    from .order_lattices import DEFAULT_MAX_V, quotient_from_gram
-    from .verify import lattice_counts
     # R = O_F[s], so stability under s is stability under R
     Q = quotient_from_gram(order.G, [order.T_gen], N, order.val_delta, order.desc)
-    m, Ncount = lattice_counts(Q, DEFAULT_MAX_V if max_v is None else max_v)
+    m, Ncount = lattice_counts(Q)
     return m, Ncount, Q
 
 

@@ -44,9 +44,9 @@ import numpy as np
 from .errors import require
 from .fqpoly import sqrt_mod
 from .kspace import EchelonBasis
-from .order_lattices import (DEFAULT_MAX_V, _poly_apply, _refuse_above,
-                             build_quotient, stable_submodules, torsion_dual,
-                             walk)
+from .order_lattices import (_poly_apply, build_quotient,
+                             enumerate_stable_submodules, stable_submodules,
+                             torsion_dual, walk)
 
 
 class HermQuotient:
@@ -167,7 +167,7 @@ def _selfdual(QE):
     return [S for S in nodes if S.dim == QE.v]
 
 
-def selfdual_submodules(QE, max_v=DEFAULT_MAX_V):
+def selfdual_submodules(QE):
     """Canonical bases of all self-dual stable subspaces of Q_E.
 
     Self-dual means stable and isotropic of dimension exactly v.  The
@@ -175,24 +175,29 @@ def selfdual_submodules(QE, max_v=DEFAULT_MAX_V):
     Hermitian sheets, so it keeps isotropic nodes only, and with the
     slices of Q_E.
     """
-    _refuse_above(QE.v, QE.dim, QE.space.k.q, max_v)
     return _selfdual(QE)
 
 
-def count_selfdual(Q, max_v=DEFAULT_MAX_V):
+def count_selfdual(Q):
     """#N: self-dual stable lattices between R(O_E) and its dual.
 
     Q is the order quotient; only the doubles Q_g + j Q_g of its blocks
     are built, and N is the product of their counts, each block walked
-    on its own.  The budget max_v applies to the whole of Q_E."""
-    _refuse_above(Q.v, 2 * Q.v, Q.space.k.q, max_v)
+    on its own under its own work budget."""
     N = 1
     for B in Q.blocks:
         N *= len(_selfdual(build_hermitian_quotient(None, Q.desc, None, fq=B)))
     return N
 
 
-def split_factor_check(Q, QE, max_v=DEFAULT_MAX_V):
+def lattice_counts(Q):
+    """(m, N) of a quotient: the stable counts of Q and the self-dual
+    count of its double Q_E, both factored over the blocks of Q (only
+    the blocks are doubled)."""
+    return enumerate_stable_submodules(Q), count_selfdual(Q)
+
+
+def split_factor_check(Q, QE):
     """Verify the split-case bijection S -> (S, torsion dual of S).
 
     In split coordinates a self-dual lattice is a pair (S, S-perp);
@@ -205,7 +210,7 @@ def split_factor_check(Q, QE, max_v=DEFAULT_MAX_V):
     space = Q.space
     v = Q.v
     expected = set()
-    for S in stable_submodules(Q, max_v=max_v):
+    for S in stable_submodules(Q):
         eb = EchelonBasis(space, 2 * v)
         for s in S.basis_matrix():
             eb.insert(np.concatenate([s, s]))
@@ -213,5 +218,5 @@ def split_factor_check(Q, QE, max_v=DEFAULT_MAX_V):
             eb.insert(np.concatenate([u, space.neg(u)]))
         require(eb.dim == v, "split image of a stable S is not of dimension v")
         expected.add(eb.key())
-    actual = {S.key() for S in selfdual_submodules(QE, max_v=max_v)}
+    actual = {S.key() for S in selfdual_submodules(QE)}
     return expected == actual

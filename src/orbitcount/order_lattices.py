@@ -35,11 +35,9 @@ from .errors import (BudgetExceeded, InvariantViolation, NotStronglyRegular,
                      PrecisionExhausted, require)
 from .fqpoly import irreducible_factors
 from .invariants import moment_sequence, strong_regularity, _vanishes
-from .kspace import EchelonBasis, KSpace, gaussian_binomial
+from .kspace import EchelonBasis, KSpace
 from .linalg import mat_det, mat_mul, mat_transpose, smith_normal_form
 from .local_field import EElem, TruncSeries, imaginary_unit
-
-DEFAULT_MAX_V = 12
 
 
 class OrderData:
@@ -246,10 +244,11 @@ def build_quotient(order, N):
     return quotient_from_gram(order.G, [order.T], N, order.val_delta, order.desc)
 
 
-def _node_budget():
-    """Node cap of one walk, and of the naive scan's subspace count:
-    ORBITAL_BUDGET, else 4,000,000.  The counts walk each block of a
-    quotient on its own, so for them it caps each block's walk."""
+def _work_budget():
+    """Cap on the candidate lines of one walk, and on the naive scan's
+    subspace count: ORBITAL_BUDGET, else 4,000,000.  The counts walk
+    each block of a quotient on its own, so for them it caps each
+    block's walk."""
     cap = os.environ.get("ORBITAL_BUDGET")
     return int(cap) if cap else 4_000_000
 
@@ -284,10 +283,17 @@ def walk(space, dim, P, ops, slices=(), sheets=(), top=None):
     isotropic space is isotropic, so the series above stays inside the
     walk.  Nodes of dimension top (default dim) are leaves; slices that
     would pass it are skipped and unsliced closures that pass it dropped.
+
+    The work is the candidate lines: a step whose M/S has F-dimension c
+    has (q^(ec) - 1) / (q^e - 1) of them, known before any is built.
+    The walk keeps a running total and raises BudgetExceeded, with that
+    total as the estimate, before it builds a step that would take the
+    total past _work_budget().
     """
     q = space.k.q
     top = dim if top is None else top
-    cap = _node_budget()
+    cap = _work_budget()
+    counted = 0
     eye = space.arr(np.eye(dim, dtype=np.int64))
     exact = bool(slices)
     slices = [(cuts, np.stack(basis))
@@ -334,6 +340,11 @@ def walk(space, dim, P, ops, slices=(), sheets=(), top=None):
             if not W:
                 continue
             c = len(W) // e
+            counted += (q ** (e * c) - 1) // (q ** e - 1)
+            if counted > cap:
+                raise BudgetExceeded(
+                    f"subspace walk would close {counted} lines, past the "
+                    f"budget of {cap}", estimate=counted)
             if (c, e) not in lines_of:
                 lines_of[c, e] = space.arr(list(_projective_tuples(c, q, e)))
             lines = space.matmul(lines_of[c, e], np.stack(W))
@@ -359,9 +370,6 @@ def walk(space, dim, P, ops, slices=(), sheets=(), top=None):
                 key = node.key()
                 if key in seen:
                     continue
-                if len(seen) >= cap:
-                    raise BudgetExceeded(
-                        f"subspace walk passed {cap} nodes", estimate=2 * cap)
                 seen.add(key)
                 if Hcat is not None:
                     nb = node.basis_matrix()
@@ -507,28 +515,19 @@ def _poly_apply(space, poly, M):
     return out
 
 
-def _refuse_above(v, dim, q, max_v):
-    if v > max_v:
-        raise BudgetExceeded(
-            f"quotient dimension {v} exceeds the enumeration budget {max_v}",
-            estimate=gaussian_binomial(dim, dim // 2, q))
-
-
-def stable_submodules(Q, max_v=DEFAULT_MAX_V):
+def stable_submodules(Q):
     """All submodules of Q stable under Q.ops, as canonical echelon bases.
 
     One walk over the whole of Q, unfactored: the slow side that the
     factored count is checked against."""
-    _refuse_above(Q.v, Q.v, Q.space.k.q, max_v)
     return walk(Q.space, Q.v, Q.P_op, Q.ops[1:], Q.slices)
 
 
-def enumerate_stable_submodules(Q, max_v=DEFAULT_MAX_V):
+def enumerate_stable_submodules(Q):
     """Counts m_i = #{stable S with dim(Q/S) = i}, i = 0..v.
 
     The polynomial product of the blocks' counts, each block walked on
-    its own; the budget max_v applies to the whole of Q."""
-    _refuse_above(Q.v, Q.v, Q.space.k.q, max_v)
+    its own under its own work budget."""
     m = [1]
     for B in Q.blocks:
         mb = [0] * (B.v + 1)

@@ -20,7 +20,7 @@ from .errors import (BudgetExceeded, Indeterminate, InvariantViolation,
                      TargetUnreachable, require)
 from .fqpoly import is_irreducible
 from .group_ring import build_group_order, group_counts
-from .hermitian import count_selfdual
+from .hermitian import lattice_counts
 from .invariants import (InvariantPair, MatrixE, char_poly_disc,
                          delta_invariant, invariants_of, strong_regularity,
                          v_invariant)
@@ -28,8 +28,7 @@ from .kspace import (KSpace, batch_form_vanishes, batch_stable_mask,
                      gaussian_binomial, iter_rref_bases)
 from .local_field import (EElem, TruncSeries, eelem_to_obj, field_desc,
                           imaginary_unit)
-from .order_lattices import (DEFAULT_MAX_V, _node_budget, build_order,
-                             build_quotient, enumerate_stable_submodules,
+from .order_lattices import (_work_budget, build_order, build_quotient,
                              signed_sum, walk)
 
 SCHEMA_VERSION = 1
@@ -124,15 +123,7 @@ def escalate_precision(build, precision):
             N = bumped
 
 
-def lattice_counts(Q, max_v):
-    """(m, N) of a quotient: the stable counts of Q and the self-dual
-    count of its double Q_E, both factored over the blocks of Q (only
-    the blocks are doubled)."""
-    m = enumerate_stable_submodules(Q, max_v=max_v)
-    return m, count_selfdual(Q, max_v=max_v)
-
-
-def verify_count_identity(ab, precision=None, max_v=None):
+def verify_count_identity(ab, precision=None):
     """Full pipeline verdict for a Lie-algebra invariant pair.
 
     The order is built once; the quotients and both counts are built at
@@ -142,10 +133,9 @@ def verify_count_identity(ab, precision=None, max_v=None):
     t0 = time.monotonic()
     desc = ab.desc
     n = ab.n
-    cap = DEFAULT_MAX_V if max_v is None else max_v
     order = build_order(ab)
     (m, Ncnt), N = escalate_precision(
-        lambda N: lattice_counts(build_quotient(order, N), cap),
+        lambda N: lattice_counts(build_quotient(order, N)),
         precision if precision is not None else auto_precision(n))
     flags = []
     if desc.p <= n:
@@ -156,16 +146,15 @@ def verify_count_identity(ab, precision=None, max_v=None):
                    m, signed_sum(m, desc), Ncnt, flags, N, wall)
 
 
-def verify_group_identity(ab, precision=None, max_v=None):
+def verify_group_identity(ab, precision=None):
     """Verdict for a group-version pair (t invertible, theta-fixed ring)."""
     t0 = time.monotonic()
     desc = ab.desc
     n = ab.n
-    cap = DEFAULT_MAX_V if max_v is None else max_v
 
     def counts(N):
         order = build_group_order(ab, N)
-        m, Ncnt, _ = group_counts(order, N, max_v=cap)
+        m, Ncnt, _ = group_counts(order, N)
         return order, m, Ncnt
 
     (order, m, Ncnt), N = escalate_precision(
@@ -220,7 +209,7 @@ def naive_subspace_oracle(Q):
     tot = 2 * Q.v if herm else Q.v
     dims = [Q.v] if herm else range(tot + 1)
     total = sum(gaussian_binomial(tot, d, Q.space.k.q) for d in dims)
-    if total > _node_budget():
+    if total > _work_budget():
         raise BudgetExceeded(
             f"naive subspace scan over dimension {tot} refused",
             estimate=total)
@@ -248,7 +237,7 @@ def naive_subspace_oracle(Q):
     return m
 
 
-def matrix_orbit_oracle(A, max_v=None):
+def matrix_orbit_oracle(A):
     """Lattice scan from a raw matrix, matching bucket counts against m.
 
     Enumerates O_F-lattices L in the first n-1 coordinates such that
@@ -267,7 +256,7 @@ def matrix_orbit_oracle(A, max_v=None):
     n = A.n
     ab = invariants_of(A)
     vA = v_invariant(A)
-    verdict = verify_count_identity(ab, max_v=max_v)
+    verdict = verify_count_identity(ab)
     m = verdict.m
     vd = verdict.v
 

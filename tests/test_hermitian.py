@@ -9,14 +9,15 @@ from orbitcount.errors import BudgetExceeded, TargetUnreachable
 from orbitcount.fqpoly import mulmod, sqrt_mod
 from orbitcount.gf import gf_by_order
 from orbitcount.hermitian import (build_hermitian_quotient, count_selfdual,
-                                  selfdual_submodules, split_factor_check)
+                                  lattice_counts, selfdual_submodules,
+                                  split_factor_check)
 from orbitcount.invariants import InvariantPair
 from orbitcount.kspace import KSpace
 from orbitcount.local_field import EElem, TruncSeries, field_desc
 from orbitcount.order_lattices import (_matrix_min_poly, _poly_apply,
                                        build_order, build_quotient,
                                        enumerate_stable_submodules, walk)
-from orbitcount.verify import lattice_counts, rand_invariants
+from orbitcount.verify import rand_invariants
 
 inert3 = field_desc(3, "inert")
 split3 = field_desc(3, "split")
@@ -81,17 +82,28 @@ def test_hermitian_sheet_symmetry():
         assert np.array_equal(sp.matmul(J.T, Him), Hre)
 
 
-def test_selfdual_budget():
-    ab = _pi_pair(inert3, 4)
-    o = build_order(ab)
-    Q = build_quotient(o, 12)
+def test_selfdual_budget(monkeypatch):
+    """ORBITAL_BUDGET caps each block's walk for the count and the one
+    walk over Q_E for the lister.  This Q has two blocks of dimension
+    1; each doubled block walks 2 candidate lines, the whole Q_E 12."""
+    ab = rand_invariants(2, field_desc(5, "split"), 2, seed=3)
+    Q = build_quotient(build_order(ab), 10)
+    QE = build_hermitian_quotient(None, ab.desc, None, fq=Q)
+    monkeypatch.setenv("ORBITAL_BUDGET", "2")
+    assert count_selfdual(Q) == 4
+    with pytest.raises(BudgetExceeded) as exc:
+        selfdual_submodules(QE)
+    assert 2 < exc.value.estimate <= 12
+    monkeypatch.setenv("ORBITAL_BUDGET", "1")
     with pytest.raises(BudgetExceeded):
-        count_selfdual(Q, max_v=3)
+        count_selfdual(Q)
+    monkeypatch.setenv("ORBITAL_BUDGET", "12")
+    assert len(selfdual_submodules(QE)) == 4
 
 
 def test_selfdual_count_of_quotient_doubles_blocks_only(monkeypatch):
     """Given Q, count_selfdual builds Q_g + j Q_g per block of Q, never
-    the whole Q_E, and refuses exactly where Q_E itself is refused."""
+    the whole Q_E."""
     ab = rand_invariants(2, field_desc(5, "split"), 2, seed=3)
     Q = build_quotient(build_order(ab), 10)
     QE = build_hermitian_quotient(None, ab.desc, None, fq=Q)
@@ -103,14 +115,9 @@ def test_selfdual_count_of_quotient_doubles_blocks_only(monkeypatch):
         return real(*args, fq=fq)
 
     monkeypatch.setattr(hermitian, "build_hermitian_quotient", spy)
-    assert lattice_counts(Q, 8) == ([1, 2, 1], 4)
+    assert lattice_counts(Q) == ([1, 2, 1], 4)
     assert built == [1, 1]
     assert len(selfdual_submodules(QE)) == 4
-    for count in (lambda: count_selfdual(Q, max_v=1),
-                  lambda: selfdual_submodules(QE, max_v=1)):
-        with pytest.raises(BudgetExceeded) as exc:
-            count()
-        assert exc.value.estimate == 806  # [4 choose 2]_5
 
 
 def test_random_agreement_with_split_factorization():

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import orbitcount
+from orbitcount import order_lattices
 from orbitcount.errors import (BudgetExceeded, NotStronglyRegular,
                                PrecisionExhausted, TargetUnreachable)
 from orbitcount.gf import gf_by_order
 from orbitcount.hermitian import build_hermitian_quotient, count_selfdual
 from orbitcount.invariants import InvariantPair
-from orbitcount.kspace import KSpace, batch_stable_mask, iter_rref_bases
+from orbitcount.kspace import (EchelonBasis, KSpace, batch_stable_mask,
+                               iter_rref_bases)
 from orbitcount.local_field import EElem, TruncSeries, field_desc
 from orbitcount.order_lattices import (build_order, build_quotient,
                                        enumerate_stable_submodules,
@@ -94,20 +96,51 @@ def test_quotient_needs_precision_beyond_length():
     assert Q.v == 4
 
 
-def test_enumeration_budget():
-    o = build_order(_pi_pair(inert3, 3))
-    Q = build_quotient(o, 10)
-    with pytest.raises(BudgetExceeded) as exc:
-        enumerate_stable_submodules(Q, max_v=2)
-    assert exc.value.estimate is not None
+def test_enumeration_budget(monkeypatch):
+    """The walk counts a step's candidate lines before it builds them
+    and refuses the step that would take the total past ORBITAL_BUDGET,
+    so no line past the budget is built or closed.  On F_3^3 with no
+    operators the steps from 0, from a line and from a plane have 13, 4
+    and 1 lines: 13 + 13 * 4 + 13 * 1 = 78 in all, for 28 subspaces."""
+    space = KSpace(gf_by_order(3))
+    zero = space.zeros((3, 3))
+    built, closed = [], []
+    real_tuples = order_lattices._projective_tuples
+    real_key = EchelonBasis.key
+
+    def tuples(c, q, e=1):
+        built.append((q ** (e * c) - 1) // (q ** e - 1))
+        return real_tuples(c, q, e)
+
+    def key(self):
+        closed.append(self.dim)
+        return real_key(self)
+
+    monkeypatch.setattr(order_lattices, "_projective_tuples", tuples)
+    monkeypatch.setattr(EchelonBasis, "key", key)
+    # each line shape is built once per walk and reused
+    for budget, estimate, shapes in ((12, 13, []), (13, 17, [13]),
+                                     (20, 21, [13, 4]), (77, 78, [13, 4, 1])):
+        monkeypatch.setenv("ORBITAL_BUDGET", str(budget))
+        built.clear()
+        closed.clear()
+        with pytest.raises(BudgetExceeded, match="lines") as exc:
+            walk(space, 3, zero, [])
+        assert exc.value.estimate == estimate
+        assert built == shapes
+        # key is taken once of the zero seed and once per closed line
+        assert closed[0] == 0 and len(closed) - 1 <= budget
+    monkeypatch.setenv("ORBITAL_BUDGET", "78")
+    assert len(walk(space, 3, zero, [])) == 28
 
 
 def test_node_budget_env(monkeypatch):
     monkeypatch.setenv("ORBITAL_BUDGET", "2")
     o = build_order(_pi_pair(inert3, 4))
     Q = build_quotient(o, 12)
-    with pytest.raises(BudgetExceeded, match="nodes"):
+    with pytest.raises(BudgetExceeded, match="lines") as exc:
         stable_submodules(Q)
+    assert exc.value.estimate == 3
 
 
 def test_counts_match_naive_scan():

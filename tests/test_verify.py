@@ -314,12 +314,12 @@ def test_matrix_oracle_three_by_three():
 # Feeds the matrix oracle bucket counts that are one too high everywhere;
 # prints __debug__ so the test can tell that -O really stripped asserts.
 CORRUPT_M = """
+import orbitcount.hermitian as hermitian
 import orbitcount.verify as verify
 from orbitcount.errors import InvariantViolation
 from orbitcount.local_field import field_desc
-real = verify.enumerate_stable_submodules
-verify.enumerate_stable_submodules = (
-    lambda Q, max_v: [c + 1 for c in real(Q, max_v=max_v)])
+real = hermitian.enumerate_stable_submodules
+hermitian.enumerate_stable_submodules = lambda Q: [c + 1 for c in real(Q)]
 print(__debug__)
 A = verify.rand_sn_matrix(2, field_desc(3, "inert"), seed=0)
 try:
@@ -344,10 +344,15 @@ def test_matrix_oracle_rejects_wrong_counts(flags, debug):
 
 # Rows whose line walks once took seconds; the residue-field walk runs
 # each in well under a second.  Counts are pinned to the line walk's.
+# The v = 14 and v = 20 rows check that no verdict is refused by its
+# dimension alone; each takes under 0.5 s.
 @pytest.mark.parametrize("n,q,ext,v,seed,m,N", [
     (4, 5, "inert", 4, 2, [1, 0, 0, 0, 1], 2),
     (2, 9, "split", 6, 700022, [1, 0, 1, 0, 1, 0, 1], 4),
     (2, 9, "inert", 6, 700022, [1, 0, 1, 0, 1, 0, 1], 4),
+    (2, 3, "split", 14, 1, [1] * 15, 15),
+    (2, 3, "inert", 14, 0, [1, 2, 3, 4, 5, 6, 7, 7, 7, 6, 5, 4, 3, 2, 1], 1),
+    (2, 3, "inert", 20, 1, [1, 0] * 10 + [1], 11),
 ])
 def test_slow_line_walk_rows(n, q, ext, v, seed, m, N):
     desc = field_desc(q, ext)
@@ -364,15 +369,24 @@ def test_slow_line_walk_rows(n, q, ext, v, seed, m, N):
 
 # v = 16 rows whose T has two linear residual factors: one walk over the
 # whole of Q and Q_E takes 11-12 s a row on a 2-core VM, the walks per
-# block about 0.1 s.  The default max_v = 12 refuses them.
+# block about 0.1 s.
 @pytest.mark.parametrize("seed,m,N", [
     (3, [1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 7, 6, 5, 4, 3, 2, 1], 80),
     (4, [1, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, 2, 1], 81),
 ])
 def test_two_factor_v16_rows(seed, m, N):
     ab = rand_invariants(2, field_desc(5, "split"), 16, seed=seed)
-    with pytest.raises(BudgetExceeded):
-        verify_count_identity(ab)
-    vd = verify_count_identity(ab, max_v=40)
+    vd = verify_count_identity(ab)
     assert vd.passed and vd.v == 16
     assert vd.m == m and vd.N == N
+
+
+def test_verdict_budget_counts_lines(monkeypatch):
+    """A verdict is refused by the lines its walks would close, not by
+    its dimension.  Unrefused, this v = 14 row's walks close about
+    13,000 lines in several seconds; a budget of 1000 stops it early."""
+    ab = rand_invariants(2, split3, 14, seed=0)
+    monkeypatch.setenv("ORBITAL_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded, match="lines") as exc:
+        verify_count_identity(ab)
+    assert exc.value.estimate > 1000

@@ -19,11 +19,11 @@ import random
 from .errors import (GeneratorNotFound, GroupConstraintViolated, Indeterminate,
                      NotStronglyRegular, SchemaError, require)
 from .hermitian import lattice_counts
-from .invariants import (InvariantPair, char_poly_disc, moment_sequence,
-                         regular_val, _vanishes)
+from .invariants import (InvariantPair, char_poly_disc, regular_val,
+                         twisted_moments, _vanishes)
 from .linalg import (char_coeffs, mat_det, mat_identity, mat_mul,
                      mat_transpose, smith_normal_form)
-from .local_field import EElem, TruncSeries, imaginary_unit
+from .local_field import EElem, TruncSeries, imaginary_unit, j_power
 from .order_lattices import quotient_from_gram
 
 
@@ -347,18 +347,16 @@ def lie_transport(order):
     k = desc.k
     n = order.n
     N = order._N
-    j = imaginary_unit(desc)
     s_poly, M_s, C = order.gen_poly, order.T_gen, order.gen_powers
 
-    zero = EElem.zero(desc)
     one = EElem.one(desc)
-    c = char_coeffs([[EElem.from_real(desc, e) for e in row] for row in M_s],
-                    zero, one)
+    c = char_coeffs(M_s, TruncSeries.zero(k), TruncSeries.one(k))
+    a_t = [j_power(desc, i, c[i - 1]) for i in range(1, n + 1)]
+    j = imaginary_unit(desc)
     jp = [one]
-    for _ in range(2 * n):
+    for _ in range(n - 1):
         jp.append(jp[-1] * j)
-    a_t = [jp[i] * c[i - 1] for i in range(1, n + 1)]
-    power = [one] + [zero] * (n - 1)
+    power = [one] + [EElem.zero(desc)] * (n - 1)
     b_t = []
     for m in range(n):
         b_t.append(jp[m] * _bprime(power, ab))
@@ -366,16 +364,13 @@ def lie_transport(order):
     out = InvariantPair(a_t, b_t, desc).validate()
 
     # Gram congruence: the u-basis of the transported pair maps to
-    # (d s)^m, whose w-coordinates are d^m times the generator powers.
-    s_t = moment_sequence(out, 2 * n - 1)
+    # (d s)^m, whose w-coordinates are d^m times the generator powers,
+    # and its Gram matrix is (r_(i+l)) of the twisted moments.
+    r = twisted_moments(out, 2 * n - 1)
     sz = TruncSeries.zero(k, N)
     D = [[C[i][m].scaled(k.pow(desc.jsq, m)) for m in range(n)] for i in range(n)]
     lhs = mat_mul(mat_transpose(D), mat_mul(order.G, D, sz), sz)
-    for i in range(n):
-        for r in range(n):
-            val = jp[i + r] * s_t[i + r]
-            require(_vanishes(val.im), "transported Gram entry is not real")
-            require(lhs[i][r].agrees_with(val.re),
-                    "transported Gram matrix is not congruent to the "
-                    "group order's")
+    require(all(lhs[i][l].agrees_with(r[i + l])
+                for i in range(n) for l in range(n)),
+            "transported Gram matrix is not congruent to the group order's")
     return out

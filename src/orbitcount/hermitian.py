@@ -161,9 +161,21 @@ def _hermitian_slices(QE):
 
 
 def _selfdual(QE):
-    sheets = [H for r in range(QE.v) for H in (QE.herm_re[r], QE.herm_im[r])]
-    nodes = walk(QE.space, QE.dim, QE.P_op, QE.ops[1:], QE.slices, sheets,
-                 top=QE.v)
+    """The self-dual nodes of the walk over Q_E, given one sheet, re_1.
+
+    One sheet is enough.  re_r(x, y) = re_1(x, P^(r-1) y), both being
+    the coefficient of pi^(-r) of the form, and im(x, y) = -re_1(x, J y)/d
+    (from re(x, J y) = d (B(xr, yi) - B(xi, yr))).  The walk's nodes S are
+    stable under P and J, so a w with P w in S that is re_1-orthogonal
+    to S is orthogonal to S under all 2v sheets, and a node isotropic
+    under re_1 is isotropic under all of them: the candidates and the
+    kept nodes are those of the walk given every sheet.  Its line
+    prefilter loses nothing either: for such a w, re_r(w, w) =
+    re_1(w, P^(r-1) w) = 0 for r >= 2 since P^(r-1) w lies in S, and
+    im(w, w) = 0 since im is alternating.
+    """
+    nodes = walk(QE.space, QE.dim, QE.P_op, QE.ops[1:], QE.slices,
+                 QE.herm_re[:1], top=QE.v)
     return [S for S in nodes if S.dim == QE.v]
 
 
@@ -172,8 +184,8 @@ def selfdual_submodules(QE):
 
     Self-dual means stable and isotropic of dimension exactly v.  The
     subspace walk runs over the whole of Q_E, unfactored, with the
-    Hermitian sheets, so it keeps isotropic nodes only, and with the
-    slices of Q_E.
+    Hermitian sheet re_1 (which _selfdual shows is enough), so it keeps
+    isotropic nodes only, and with the slices of Q_E.
     """
     return _selfdual(QE)
 

@@ -14,11 +14,22 @@ f = b' for Delta and f = Tr for disc(P_a) = det (Tr(t^(i+j))).  Both
 sequences f(t^m) obey P_a's recurrence, and both determinants are
 division-free, so exact inputs give exact values in every odd
 characteristic, p <= n included.
+
+Real forms.  When every a_i and b_m has its parity, the twists
+alpha_i = j^i a_i, r_m = j^m b'(t^m) and j^m Tr(t^m) lie in F, obey
+r_m = sum (-1)^(i+1) alpha_i r_(m-i) and Newton's identities over
+alpha, and give Delta = d^(-n(n-1)/2) det (r_(i+j)), d = j^2, and disc
+the same way.  Such a pair is computed in F, one series product per
+product where E takes four; strong_regularity hands alpha and r_m on
+to build_order, whose Gram matrix is (r_(i+l)).  Every other pair (a
+group pair, or one whose parity fails) is computed over E, which also
+serves the tests as the reference for the real forms.
 """
 
 from .errors import Indeterminate, NotStronglyRegular, SchemaError, require
 from .linalg import char_coeffs, mat_det
-from .local_field import EElem, eelem_from_obj, eelem_to_obj, eta
+from .local_field import (EElem, TruncSeries, eelem_from_obj, eelem_to_obj,
+                          eta)
 
 
 def _vanishes(series):
@@ -153,17 +164,25 @@ class InvariantPair:
 
 
 class RegularityReport:
-    """Valuations of disc(P_a) and Delta, with Delta itself for reuse."""
+    """Valuations of disc(P_a) and Delta, with Delta itself for reuse.
+
+    For a parity-correct pair, alpha holds the real forms j^i a_i and
+    moments the twisted moments r_m = j^m b'(t^m), m = 0..2n-2; both
+    are None for pairs read over E.
+    """
 
     __slots__ = ("val_disc", "val_delta", "strongly_regular", "eta_delta",
-                 "delta")
+                 "delta", "alpha", "moments")
 
-    def __init__(self, val_disc, val_delta, strongly_regular, eta_delta, delta):
+    def __init__(self, val_disc, val_delta, strongly_regular, eta_delta, delta,
+                 alpha, moments):
         self.val_disc = val_disc
         self.val_delta = val_delta
         self.strongly_regular = strongly_regular
         self.eta_delta = eta_delta
         self.delta = delta
+        self.alpha = alpha
+        self.moments = moments
 
     def __repr__(self):
         return (f"RegularityReport(val_disc={self.val_disc}, val_delta={self.val_delta}, "
@@ -195,70 +214,166 @@ def invariants_of(A):
     return InvariantPair(char_poly_coeffs(A), moment_vector(A), A.desc)
 
 
-def _recurrence(ab, s, count):
+def real_forms(ab):
+    """The real forms (alpha, beta) of a parity-correct pair, or None.
+
+    When sigma(a_i) = (-1)^i a_i and sigma(b_m) = (-1)^m b_m, the twisted
+    values alpha_i = j^i a_i (i = 1..n) and beta_m = j^m b_m (m < n) lie
+    in F: each is d^ceil(i/2) times the component that does not vanish,
+    d = j^2, cut to the element's precision (the least of its two
+    components').  None when some entry has a known digit in the
+    component its parity says must vanish; such pairs keep the E path.
+    """
+    k, d = ab.desc.k, ab.desc.jsq
+    forms = []
+    for arr, offset in ((ab.a, 1), (ab.b, 0)):
+        out = []
+        for idx, x in enumerate(arr):
+            i = idx + offset
+            keep, drop = (x.im, x.re) if i % 2 else (x.re, x.im)
+            if not _vanishes(drop):
+                return None
+            y = keep.scaled(k.pow(d, (i + 1) // 2))
+            out.append(y if x.prec is None else y.truncated(x.prec))
+        forms.append(out)
+    return tuple(forms)
+
+
+def _recurrence(coeffs, s, count, zero):
     """Extend s_0..s_(n-1) to s_0..s_(count-1) by P_a's recurrence.
 
     Any sequence m -> f(t^m), f linear on E[t]/P_a, satisfies
     s_m = sum_{i=1..n} (-1)^(i+1) a_i s_(m-i) for m >= n, because t^n
-    reduces to that combination of lower powers modulo P_a.
+    reduces to that combination of lower powers modulo P_a.  Multiplying
+    by j^m turns it into the same recurrence for the twisted values
+    j^m s_m over alpha_i = j^i a_i, so coeffs is either a (over E) or
+    alpha (over F), and zero is that ring's zero.
     """
-    n = ab.n
+    n = len(coeffs)
     s = list(s[:count])
-    zero = EElem.zero(ab.desc)
     for m in range(len(s), count):
         acc = zero
         for i in range(1, n + 1):
-            term = ab.a[i - 1] * s[m - i]
+            term = coeffs[i - 1] * s[m - i]
             acc = acc + term if i % 2 == 1 else acc - term
         s.append(acc)
     return s
 
 
+def twisted_moments(ab, count):
+    """r_m = j^m b'(t^m) in F for m = 0..count-1, from the real forms of
+    a parity-correct pair (InvariantViolation for any other pair)."""
+    forms = real_forms(ab)
+    require(forms is not None, "twisted moments need a parity-correct pair")
+    return _recurrence(forms[0], forms[1], count, TruncSeries.zero(ab.desc.k))
+
+
 def moment_sequence(ab, count):
-    """Values b'(t^m) for m = 0..count-1: the given b_m for m < n, then
-    P_a's recurrence."""
-    return _recurrence(ab, ab.b, count)
+    """Values b'(t^m) in E for m = 0..count-1: the given b_m for m < n,
+    then P_a's recurrence."""
+    return _recurrence(ab.a, ab.b, count, EElem.zero(ab.desc))
 
 
-def power_sums(ab, count):
-    """Power sums p_m = Tr(t^m) of the roots of P_a, m = 0..count-1.
+def _power_sums(coeffs, count, zero, one, p):
+    """Power sums p_m = Tr(t^m) of the roots of P_a, m = 0..count-1, or
+    their twists j^m p_m when coeffs is alpha.
 
     p_0 = n, and Newton's identities give p_m for 0 < m < n:
     p_m = sum_{i<m} (-1)^(i-1) a_i p_(m-i) + (-1)^(m-1) m a_m; from
-    m = n on, P_a's recurrence.  Both have integer coefficients, so no
-    division is needed, whatever the characteristic.
+    m = n on, P_a's recurrence.  Both are homogeneous in the weight
+    that j^m carries, so they hold for the twists over alpha as well.
+    Both have integer coefficients, so no division is needed, whatever
+    the characteristic p.
     """
-    n = ab.n
-    one = EElem.one(ab.desc)
-    p = [one.scaled(n % ab.desc.p)]
+    n = len(coeffs)
+    out = [one.scaled(n % p)]
     for m in range(1, min(n, count)):
-        acc = ab.a[m - 1].scaled(m % ab.desc.p)
+        acc = coeffs[m - 1].scaled(m % p)
         if m % 2 == 0:
             acc = -acc
         for i in range(1, m):
-            term = ab.a[i - 1] * p[m - i]
+            term = coeffs[i - 1] * out[m - i]
             acc = acc + term if i % 2 == 1 else acc - term
-        p.append(acc)
-    return _recurrence(ab, p, count)
+        out.append(acc)
+    return _recurrence(coeffs, out, count, zero)
 
 
-def _hankel_det(s, n, desc):
-    """det (s_(i+j))_{0<=i,j<n}, division-free."""
-    hankel = [[s[i + j] for j in range(n)] for i in range(n)]
-    return mat_det(hankel, EElem.zero(desc), EElem.one(desc))
+def power_sums(ab, count):
+    """Power sums Tr(t^m) in E of the roots of P_a, m = 0..count-1."""
+    desc = ab.desc
+    return _power_sums(ab.a, count, EElem.zero(desc), EElem.one(desc),
+                       desc.p)
+
+
+def _hankel_det(s, n, zero, one, colscale=None):
+    """det (s_(i+j) c_j)_{0<=i,j<n}, division-free; c_j = colscale[j],
+    residue constants, or 1 when colscale is None."""
+    if colscale is None:
+        hankel = [[s[i + j] for j in range(n)] for i in range(n)]
+    else:
+        hankel = [[s[i + j].scaled(colscale[j]) for j in range(n)]
+                  for i in range(n)]
+    return mat_det(hankel, zero, one)
+
+
+def _twist_scale(n, desc):
+    """Column weights d^(-l) under which a Hankel determinant of twists
+    r_m = j^m s_m equals det (s_(i+j)).
+
+    (r_(i+l) d^(-l)) = (d^i j^(-i-l) s_(i+l)): the d^i and the j^(-i-l)
+    contribute d^(n(n-1)/2) and its inverse to the determinant.  Entry
+    for entry, the Berkowitz expansion then weights each inner sum by
+    d^l as it does over E for (s_(i+l)), so every intermediate is a unit
+    times the E one and the precision tracked is the same.
+    """
+    k = desc.k
+    dinv = k.inv[desc.jsq]
+    return [k.pow(dinv, l) for l in range(n)]
+
+
+def _delta(ab, forms):
+    """(Delta, twisted moments r_0..r_(2n-2)), the moments None over E."""
+    desc, n = ab.desc, ab.n
+    if forms is None:
+        # The imaginary component cancels because sigma(s_m) = (-1)^m s_m
+        # makes the Hankel matrix Hermitian-symmetric with real
+        # determinant; a nonvanishing digit there means corrupted input.
+        delta = _hankel_det(moment_sequence(ab, 2 * n - 1), n,
+                            EElem.zero(desc), EElem.one(desc))
+        require(_vanishes(delta.im), "Delta has a nonzero imaginary part")
+        return delta, None
+    zero, one = TruncSeries.zero(desc.k), TruncSeries.one(desc.k)
+    r = _recurrence(forms[0], forms[1], 2 * n - 1, zero)
+    delta = _hankel_det(r, n, zero, one, _twist_scale(n, desc))
+    return EElem.from_real(desc, delta), r
+
+
+def _disc(ab, forms):
+    """disc(P_a) over E, or from alpha when forms are given."""
+    desc, n = ab.desc, ab.n
+    if n == 1:
+        return EElem.one(desc)
+    if forms is None:
+        disc = _hankel_det(power_sums(ab, 2 * n - 1), n, EElem.zero(desc),
+                           EElem.one(desc))
+    else:
+        zero, one = TruncSeries.zero(desc.k), TruncSeries.one(desc.k)
+        p = _power_sums(forms[0], 2 * n - 1, zero, one, desc.p)
+        disc = EElem.from_real(
+            desc, _hankel_det(p, n, zero, one, _twist_scale(n, desc)))
+    precs = [x.prec for x in ab.a if x.prec is not None]
+    return disc.truncated(min(precs)) if precs else disc
 
 
 def delta_invariant(ab):
     """Delta = det (b'(t^{i+j}))_{0<=i,j<n}; lands in F.
 
-    The imaginary component cancels because sigma(s_m) = (-1)^m s_m
-    makes the Gram matrix Hermitian-symmetric with real determinant;
-    a nonvanishing imaginary digit would mean corrupted input and
-    raises InvariantViolation.
+    A parity-correct pair computes it from its real forms as
+    d^(-n(n-1)/2) det (r_(i+j)), r_m = j^m b'(t^m); any other pair over
+    E, where a nonvanishing imaginary digit of the result raises
+    InvariantViolation.
     """
-    delta = _hankel_det(moment_sequence(ab, 2 * ab.n - 1), ab.n, ab.desc)
-    require(_vanishes(delta.im), "Delta has a nonzero imaginary part")
-    return delta
+    return _delta(ab, real_forms(ab))[0]
 
 
 def v_invariant(A):
@@ -287,9 +402,14 @@ def regular_val(x, ab, what):
 
     A value that vanishes only modulo the working precision is
     inconclusive and raises Indeterminate with a doubled-precision hint.
+    So is an E value whose first digit lies at or past its precision,
+    which happens when its real component is known further than its
+    imaginary one: x is known only modulo pi^prec, whichever component
+    holds the digit, so the E and real paths classify alike.
     """
-    if x.val() is not None:
-        return x.val()
+    v = x.val()
+    if v is not None and (x.prec is None or v < x.prec):
+        return v
     if x.prec is None:
         return None
     cur = ab.prec() or 0
@@ -300,17 +420,23 @@ def regular_val(x, ab, what):
 def strong_regularity(ab):
     """Joint regularity report for disc(P_a) and Delta_{a,b}.
 
-    Exact zeros make the instance genuinely singular; zeros at the
-    working precision are inconclusive and raise Indeterminate (see
-    regular_val).
+    A parity-correct pair is read through its real forms once: Delta,
+    disc(P_a) and the twisted moments r_m all come from them, and the
+    report keeps alpha and r_0..r_(2n-2) for build_order.  Other pairs
+    take the E path and the report carries no forms.  Exact zeros make
+    the instance genuinely singular; zeros at the working precision are
+    inconclusive and raise Indeterminate (see regular_val).
     """
-    delta = delta_invariant(ab)
-    val_disc = regular_val(char_poly_disc(ab), ab, "disc(P_a)")
+    forms = real_forms(ab)
+    delta, moments = _delta(ab, forms)
+    val_disc = regular_val(_disc(ab, forms), ab, "disc(P_a)")
     val_delta = regular_val(delta, ab, "Delta")
+    alpha = forms[0] if forms else None
     if val_disc is None or val_delta is None:
-        return RegularityReport(val_disc, val_delta, False, None, delta)
+        return RegularityReport(val_disc, val_delta, False, None, delta,
+                                alpha, moments)
     return RegularityReport(val_disc, val_delta, True, eta(delta, ab.desc),
-                            delta)
+                            delta, alpha, moments)
 
 
 def char_poly_disc(ab):
@@ -320,10 +446,12 @@ def char_poly_disc(ab):
     Hankel matrix of the power sums p_m = sum_k r_k^m = Tr(t^m), so its
     determinant is det(V)^2 = prod_{k<l} (r_k - r_l)^2 = disc(P_a).
     Both sides are polynomials with integer coefficients in a_1..a_n
-    (power_sums needs no division), so the identity holds over
+    (power sums need no division), so the identity holds over
     Z[a_1..a_n] and survives reduction to characteristic p, p <= n
     included, where p_0 = n and the Newton terms m a_m may vanish.
-    Delta is the same Hankel determinant over b' in place of Tr.
+    Delta is the same Hankel determinant over b' in place of Tr.  A
+    parity-correct pair computes it from the twists j^m p_m over alpha
+    (real_forms), in F; any other pair, a group pair say, over E.
 
     The value is reported modulo pi^N, N the least precision of the
     a_i; for integral a_i it is known that far, as an integer
@@ -332,12 +460,7 @@ def char_poly_disc(ab):
     whether disc vanishes at the working precision does not depend on
     how the determinant was expanded.
     """
-    n = ab.n
-    if n == 1:
-        return EElem.one(ab.desc)
-    disc = _hankel_det(power_sums(ab, 2 * n - 1), n, ab.desc)
-    precs = [x.prec for x in ab.a if x.prec is not None]
-    return disc.truncated(min(precs)) if precs else disc
+    return _disc(ab, real_forms(ab))
 
 
 def membership_check(A, which):

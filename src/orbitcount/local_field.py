@@ -474,6 +474,15 @@ def imaginary_unit(desc):
     return EElem(desc, TruncSeries.zero(desc.k), TruncSeries.one(desc.k))
 
 
+def j_power(desc, i, x):
+    """j^i x for a real series x, built without E products: d^(i//2) x,
+    d = j^2, in the real component for even i, in the imaginary one for
+    odd i."""
+    y = x.scaled(desc.k.pow(desc.jsq, i // 2))
+    z = TruncSeries.zero(desc.k, x.prec)
+    return EElem(desc, y, z) if i % 2 == 0 else EElem(desc, z, y)
+
+
 def eta(x, desc=None):
     """Quadratic character of F^x attached to E/F.
 

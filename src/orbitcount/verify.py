@@ -27,7 +27,7 @@ from .invariants import (InvariantPair, MatrixE, char_poly_disc,
 from .kspace import (KSpace, batch_form_vanishes, batch_stable_mask,
                      gaussian_binomial, iter_rref_bases)
 from .local_field import (EElem, TruncSeries, eelem_to_obj, field_desc,
-                          imaginary_unit)
+                          j_power)
 from .order_lattices import (_work_budget, build_order, build_quotient,
                              signed_sum, walk)
 
@@ -352,14 +352,25 @@ def matrix_orbit_oracle(A):
 
 def _rand_real_poly(rng, k, deg, min_val=0, unit_at=None):
     """Random exact real polynomial in pi of degree <= deg."""
-    s = TruncSeries.zero(k)
+    coeffs = []
     for l in range(min_val, deg + 1):
         c = rng.randrange(k.q)
         if unit_at is not None and l == unit_at:
             c = rng.randrange(1, k.q)
-        if c:
-            s = s + TruncSeries.pi_pow(k, l).scaled(c)
-    return s
+        coeffs.append(c)
+    return TruncSeries(k, coeffs, min_val)
+
+
+def _twisted_pair(desc, alphas, betas):
+    """The pair a_i = j^i alpha_i, b_m = j^m beta_m of real series."""
+    return InvariantPair(
+        [j_power(desc, i, x) for i, x in enumerate(alphas, start=1)],
+        [j_power(desc, m, x) for m, x in enumerate(betas)], desc)
+
+
+def _delta_upto(ab, target):
+    """Delta of ab, modulo pi^(target+1) when a target is given."""
+    return delta_invariant(ab if target is None else ab.truncated(target + 1))
 
 
 def rand_invariants(n, desc, target_val_delta=None, seed=0, family="generic"):
@@ -368,17 +379,17 @@ def rand_invariants(n, desc, target_val_delta=None, seed=0, family="generic"):
     Families: "generic" (unconstrained), "eisenstein" (the untwisted
     characteristic polynomial is Eisenstein, so the order is a totally
     ramified DVR with residue degree 1), "irreducible" (irreducible mod
-    pi: an unramified DVR with residue degree n).  When target_val_delta
-    is given, draws are rejected until val Delta can be shifted onto the
-    target by scaling b with a power of pi (Delta is homogeneous of
-    degree n in b), up to 64 attempts.
+    pi: an unramified DVR with residue degree n).  A draw is the real
+    series alpha_i and beta_m, and the pair a_i = j^i alpha_i,
+    b_m = j^m beta_m.  When target_val_delta is given, draws are rejected
+    until val Delta can be shifted onto the target by scaling b with a
+    power of pi (Delta is homogeneous of degree n in b), up to 64
+    attempts.  Only draws with val Delta <= target can be kept, and Delta
+    modulo pi^(target+1) settles that, so each draw is decided on the
+    pair truncated there; disc(P_a) is computed exactly, and only for
+    draws that pass.
     """
     k = desc.k
-    one = EElem.one(desc)
-    j = imaginary_unit(desc)
-    jp = [one]
-    for _ in range(n):
-        jp.append(jp[-1] * j)
     rng = random.Random(f"inv:{seed}:{n}:{desc.q}:{desc.ext}:"
                         f"{family}:{target_val_delta}")
     deg = 2 + (target_val_delta or 0)
@@ -404,14 +415,13 @@ def rand_invariants(n, desc, target_val_delta=None, seed=0, family="generic"):
                     break
         else:
             raise ValueError(f"unknown family {family!r}")
-        a = [jp[i] * EElem.from_real(desc, alphas[i - 1])
-             for i in range(1, n + 1)]
-        b = [jp[i] * EElem.from_real(desc, _rand_real_poly(rng, k, deg))
-             for i in range(n)]
-        ab = InvariantPair(a, b, desc)
+        betas = [_rand_real_poly(rng, k, deg) for _ in range(n)]
+        ab = _twisted_pair(desc, alphas, betas)
         # Delta first, so a draw it rejects never pays for disc(P_a).
-        # Draws are exact, so a vanishing value is 0.
-        delta = delta_invariant(ab)
+        # Exact Delta vanishes only when it is 0; modulo pi^(target+1)
+        # it vanishes or shows a valuation past the target when
+        # val Delta > target.
+        delta = _delta_upto(ab, target_val_delta)
         if delta.val() is None:
             continue
         if target_val_delta is not None:
@@ -424,9 +434,9 @@ def rand_invariants(n, desc, target_val_delta=None, seed=0, family="generic"):
             return ab.validate()
         if gap:
             # disc(P_a) depends on a only; Delta moves by n per power of pi
-            lift = EElem.from_real(desc, TruncSeries.pi_pow(k, gap // n))
-            ab = InvariantPair(a, [x * lift for x in b], desc)
-            delta = delta_invariant(ab)
+            betas = [x.shifted(gap // n) for x in betas]
+            ab = _twisted_pair(desc, alphas, betas)
+            delta = _delta_upto(ab, target_val_delta)
         require(delta.val() == target_val_delta,
                 "scaling b did not move val Delta onto the target")
         return ab.validate()

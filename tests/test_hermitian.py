@@ -211,6 +211,42 @@ def test_sliced_walk_matches_line_walk(case, degrees, sizes):
     assert {S.key() for S in sliced} == {S.key() for S in lines}
 
 
+def _one_sheet_matches_every_sheet(QE):
+    args = (QE.space, QE.dim, QE.P_op, QE.ops[1:], QE.slices)
+    every = [H for r in range(QE.v) for H in (QE.herm_re[r], QE.herm_im[r])]
+    want = {S.key() for S in walk(*args, every, top=QE.v)}
+    assert {S.key() for S in walk(*args, QE.herm_re[:1], top=QE.v)} == want
+
+
+@pytest.mark.parametrize("case", [
+    (2, 3, "split", 3, 0), (2, 3, "inert", 3, 0), (2, 5, "inert", 2, 0),
+    (2, 9, "inert", 2, 0), (2, 9, "split", 2, 0),
+    (3, 5, "split", 3, 0, "irreducible"), (3, 5, "inert", 3, 0, "irreducible"),
+    (3, 3, "split", 3, 6), (3, 3, "inert", 3, 1),
+])
+def test_selfdual_walk_needs_one_sheet(case):
+    """Given re_1 alone the walk visits the nodes it visits given all 2v
+    sheets (the argument is in hermitian._selfdual)."""
+    QE = _pipeline(*case)[1]
+    _one_sheet_matches_every_sheet(QE)
+    assert {S.key() for S in selfdual_submodules(QE)} == {
+        S.key() for S in walk(QE.space, QE.dim, QE.P_op, QE.ops[1:],
+                              QE.slices, QE.herm_re[:1], top=QE.v)
+        if S.dim == QE.v}
+
+
+@pytest.mark.parametrize("n,q,ext,v,seed", [
+    (2, 3, "split", 14, 1), (2, 3, "inert", 14, 0), (2, 3, "inert", 20, 1),
+])
+def test_selfdual_walk_needs_one_sheet_deep(n, q, ext, v, seed):
+    """The same on the v = 14 and v = 20 rows, block by block as
+    count_selfdual walks them."""
+    Q = _pipeline(n, q, ext, v, seed)[0]
+    for B in Q.blocks:
+        _one_sheet_matches_every_sheet(
+            build_hermitian_quotient(None, Q.desc, None, fq=B))
+
+
 @pytest.mark.parametrize("case", [
     (2, 3, "split", 3, 0), (2, 3, "inert", 3, 0), (2, 5, "inert", 2, 0),
     (2, 9, "inert", 2, 0), (3, 3, "split", 3, 6),

@@ -9,16 +9,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 import orbitcount
-from orbitcount.errors import Indeterminate, NotStronglyRegular, SchemaError
+from orbitcount.errors import (Indeterminate, InvariantViolation,
+                               NotStronglyRegular, SchemaError)
 from orbitcount.group_ring import build_group_order, lie_transport
 from orbitcount.invariants import (InvariantPair, MatrixE, char_poly_disc,
                                    delta_invariant, invariants_of,
                                    matching_check, membership_check,
-                                   moment_sequence, strong_regularity,
-                                   v_invariant, variant_transport)
+                                   moment_sequence, power_sums, real_forms,
+                                   regular_val, strong_regularity,
+                                   twisted_moments, v_invariant,
+                                   variant_transport)
 from orbitcount.linalg import mat_det
 from orbitcount.local_field import (EElem, TruncSeries, field_desc,
-                                    imaginary_unit)
+                                    imaginary_unit, j_power)
 from orbitcount.verify import (auto_precision, rand_group_instance,
                                rand_invariants)
 
@@ -242,6 +245,134 @@ def test_disc_matches_sylvester_on_lie_pairs(q):
                     else:
                         assert not indeterminate, (n, N)
                         assert rep.val_disc == want.val()
+
+
+def _e_forms(ab):
+    """Slow side for the real forms: Delta and disc(P_a) as Hankel
+    determinants over E of b'(t^m) and Tr(t^m), disc cut to the least
+    precision of the a_i as char_poly_disc reports it."""
+    n, desc = ab.n, ab.desc
+    zero, one = EElem.zero(desc), EElem.one(desc)
+
+    def hankel(s):
+        return mat_det([[s[i + j] for j in range(n)] for i in range(n)],
+                       zero, one)
+
+    delta = hankel(moment_sequence(ab, 2 * n - 1))
+    assert delta.im.is_zero()
+    if n == 1:
+        return delta, one
+    disc = hankel(power_sums(ab, 2 * n - 1))
+    precs = [x.prec for x in ab.a if x.prec is not None]
+    return delta, disc.truncated(min(precs)) if precs else disc
+
+
+def _classify(disc, delta, ab):
+    """strong_regularity's outcome from the two values: Indeterminate
+    (disc checked first) or the valuations, None for an exact zero
+    (NotStronglyRegular in build_order)."""
+    try:
+        return (regular_val(disc, ab, "disc(P_a)"),
+                regular_val(delta, ab, "Delta"))
+    except Indeterminate as exc:
+        return ("indeterminate", str(exc), exc.needed)
+
+
+def _kind(outcome):
+    if outcome[0] == "indeterminate":
+        return "indeterminate"
+    return "singular" if None in outcome else "regular"
+
+
+def _check_real_forms(ab):
+    """Real-form Delta and disc agree with the E forms: same digits,
+    same precision, same classification."""
+    assert real_forms(ab) is not None
+    want = _e_forms(ab)
+    got = (delta_invariant(ab), char_poly_disc(ab))
+    for g, w in zip(got, want):
+        assert g.prec == w.prec
+        assert g.agrees_with(w)
+    expect = _classify(want[1], want[0], ab)
+    assert _classify(got[1], got[0], ab) == expect
+    try:
+        rep = strong_regularity(ab)
+    except Indeterminate as exc:
+        assert expect == ("indeterminate", str(exc), exc.needed)
+    else:
+        assert (rep.val_disc, rep.val_delta) == expect
+        assert rep.strongly_regular == (None not in expect)
+        assert len(rep.moments) == 2 * ab.n - 1
+    return expect
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_real_forms_match_e_forms_on_lie_pairs(q):
+    """The _lie_pairs grid: n = 1..5, both extensions, p <= n included;
+    exact and truncated.  Every classification occurs."""
+    seen = set()
+    for ext in ("split", "inert"):
+        desc = field_desc(q, ext)
+        rng = random.Random(f"disc:{q}:{ext}")
+        for n in range(1, 6):
+            for ab in _lie_pairs(desc, n, rng):
+                for N in (None, 1, 2, 3, 5):
+                    seen.add(_kind(_check_real_forms(
+                        ab if N is None else ab.truncated(N))))
+    assert seen == {"regular", "singular", "indeterminate"}
+
+
+def _lopsided(x, i, N, M):
+    """x truncated at N, the component its parity makes vanish at M < N."""
+    keep, drop = (x.im, x.re) if i % 2 else (x.re, x.im)
+    keep, drop = keep.truncated(N), drop.truncated(M)
+    return EElem(x.desc, *((drop, keep) if i % 2 else (keep, drop)))
+
+
+@pytest.mark.parametrize("ext", ["split", "inert"])
+def test_real_forms_match_e_forms_on_lopsided_precision(ext):
+    """Pairs whose vanishing components carry less precision than the
+    others, down to none at all.  Over E the value of Delta can then
+    hold a digit at or past its own precision, which regular_val does
+    not read, so the two paths still classify alike."""
+    seen = set()
+    for q in (3, 5, 7):
+        desc = field_desc(q, ext)
+        k = desc.k
+        rng = random.Random(f"lopsided:{q}:{ext}")
+        for n in range(1, 5):
+            for _ in range(25):
+                entries = []
+                for i in list(range(1, n + 1)) + list(range(n)):
+                    s = TruncSeries(k, [rng.randrange(k.q) for _ in range(4)],
+                                    rng.choice((0, 0, 1, 2)))
+                    N = rng.choice((2, 3, 4, 6))
+                    x = j_power(desc, i, s)
+                    entries.append(_lopsided(x, i, N, rng.randrange(N)))
+                ab = InvariantPair(entries[:n], entries[n:], desc)
+                seen.add(_kind(_check_real_forms(ab)))
+    assert {"regular", "indeterminate"} <= seen
+
+
+def test_non_parity_pair_keeps_the_e_path():
+    """The real gl-side pair of the variant transport test has no
+    parity, so it has no real forms and is read over E."""
+    desc = inert3
+    k = desc.k
+    raw = InvariantPair(
+        [EElem.from_real(desc, TruncSeries.const(k, 2)),
+         EElem.from_real(desc, TruncSeries.pi_pow(k, 1))],
+        [EElem.one(desc), EElem.from_real(desc, TruncSeries.pi_pow(k, 1))],
+        desc)
+    assert real_forms(raw) is None
+    want = _e_forms(raw)
+    for got, w in zip((delta_invariant(raw), char_poly_disc(raw)), want):
+        assert got == w
+    rep = strong_regularity(raw)
+    assert rep.moments is None and rep.alpha is None
+    assert (rep.val_disc, rep.val_delta) == _classify(want[1], want[0], raw)
+    with pytest.raises(InvariantViolation, match="parity-correct"):
+        twisted_moments(raw, 3)
 
 
 def _group_pair(desc, x):

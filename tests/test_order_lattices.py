@@ -13,10 +13,12 @@ from orbitcount.errors import (BudgetExceeded, NotStronglyRegular,
                                PrecisionExhausted, TargetUnreachable)
 from orbitcount.gf import gf_by_order
 from orbitcount.hermitian import build_hermitian_quotient, count_selfdual
-from orbitcount.invariants import InvariantPair
+from orbitcount.invariants import InvariantPair, moment_sequence
 from orbitcount.kspace import (EchelonBasis, KSpace, batch_stable_mask,
                                iter_rref_bases)
-from orbitcount.local_field import EElem, TruncSeries, field_desc
+from orbitcount.linalg import mat_det
+from orbitcount.local_field import (EElem, TruncSeries, field_desc,
+                                    imaginary_unit)
 from orbitcount.order_lattices import (build_order, build_quotient,
                                        enumerate_stable_submodules,
                                        signed_sum, stable_submodules,
@@ -79,6 +81,44 @@ def test_two_dim_order_frozen():
     assert Q.v == 2
     assert not Q.T_op.any()
     assert enumerate_stable_submodules(Q) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("ext", ["split", "inert"])
+def test_order_matches_e_forms(ext):
+    """G and T from the real forms against the E products they replace:
+    G_(il) = j^(i+l) b'(t^(i+l)) and row n - i of T's last column
+    (-1)^(i+1) j^i a_i, and det G = d^(n(n-1)/2) Delta with Delta over E,
+    exact and truncated, p <= n included."""
+    for q in (3, 5):
+        desc = field_desc(q, ext)
+        k = desc.k
+        j = imaginary_unit(desc)
+        jp = [EElem.one(desc)]
+        for _ in range(8):
+            jp.append(jp[-1] * j)
+        for n in (1, 2, 3, 4):
+            for seed in range(3):
+                ab = rand_invariants(n, desc, seed=seed)
+                for cut in (ab, ab.truncated(2 * n + 4)):
+                    order = build_order(cut)
+                    s = moment_sequence(cut, 2 * n - 1)
+                    for i in range(n):
+                        for l in range(n):
+                            x = jp[i + l] * s[i + l]
+                            assert x.im.is_zero()
+                            assert order.G[i][l].agrees_with(x.re)
+                    for i in range(1, n + 1):
+                        x = jp[i] * cut.a[i - 1]
+                        x = x if i % 2 else -x
+                        assert order.T[n - i][n - 1].agrees_with(x.re)
+                    zero, one = EElem.zero(desc), EElem.one(desc)
+                    delta = mat_det([[s[i + l] for l in range(n)]
+                                     for i in range(n)], zero, one)
+                    detG = mat_det(order.G, TruncSeries.zero(k),
+                                   TruncSeries.one(k))
+                    dpow = k.pow(desc.jsq, n * (n - 1) // 2)
+                    assert detG.agrees_with(delta.re.scaled(dpow))
+                    assert detG.val() == delta.val() == order.val_delta
 
 
 def test_not_strongly_regular_rejected():

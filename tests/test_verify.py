@@ -133,6 +133,57 @@ def test_sampler_draws_pinned():
         assert got == rec["draw"], rec["case"]
 
 
+def _deep_draws():
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "sampler_draws_deep.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _draw(case):
+    n, q, ext, target, seed, family = case
+    try:
+        return instance_to_obj(rand_invariants(
+            n, field_desc(q, ext), target, seed=seed, family=family))
+    except TargetUnreachable:
+        return None
+
+
+def test_sampler_draws_pinned_deep():
+    """Draws at the deep targets, recorded when every draw computed Delta
+    exactly over E: the sweep strata at v = 5 and 6 (q = 3 and 5 at
+    n <= 2, q = 5 at n = 3), the DVR families at v = 0..6, and four draws
+    whose Delta modulo pi^(target+1) shows a valuation past the target,
+    which must still be rejected.  A case is (n, q, ext, target, seed,
+    family); a null draw is TargetUnreachable."""
+    pinned = _deep_draws()
+    assert len(pinned) == 148
+    for rec in pinned:
+        assert _draw(rec["case"]) == rec["draw"], rec["case"]
+
+
+def test_sampler_series_products_bounded(monkeypatch):
+    """The pinned draws decide Delta on the real forms truncated at
+    pi^(target+1).  Over E, with exact Delta, they took 312,316 series
+    products; now 63,856.  The count is exact: the draws are seeded."""
+    calls = [0]
+    mul = TruncSeries.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted)
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "sampler_draws.json")
+    with open(path) as fh:
+        cases = [rec["case"][:4] + [1, rec["case"][4]]
+                 for rec in json.load(fh)]
+    for case in cases + [rec["case"] for rec in _deep_draws()]:
+        _draw(case)
+    assert calls[0] <= 63_856
+
+
 def test_family_coefficient_shapes():
     for desc in (inert3, inert5):
         for seed in range(5):

@@ -28,9 +28,9 @@ from .order_lattices import (build_order, build_quotient,
                              stable_submodules, torsion_dual)
 from .verify import (Verdict, auto_precision, dvr_closed_form,
                      instance_from_obj, instance_to_obj, matrix_orbit_oracle,
-                     naive_subspace_oracle, rand_group_instance,
-                     rand_invariants, rand_sn_matrix, sweep,
-                     verify_count_identity, verify_group_identity)
+                     naive_subspace_oracle, oracle_checks,
+                     rand_group_instance, rand_invariants, rand_sn_matrix,
+                     sweep, verify_count_identity, verify_group_identity)
 
 __version__ = "0.1.0"
 
@@ -43,8 +43,8 @@ __all__ = [
     "count_selfdual", "dvr_closed_form", "enumerate_stable_submodules",
     "field_desc", "group_counts", "instance_from_obj", "instance_to_obj",
     "invariants_of", "lie_transport", "matrix_orbit_oracle",
-    "naive_subspace_oracle", "rand_group_instance", "rand_invariants",
-    "rand_sn_matrix", "selfdual_submodules", "signed_sum",
+    "naive_subspace_oracle", "oracle_checks", "rand_group_instance",
+    "rand_invariants", "rand_sn_matrix", "selfdual_submodules", "signed_sum",
     "split_factor_check", "stable_submodules", "strong_regularity", "sweep",
     "torsion_dual", "v_invariant", "verify_count_identity",
     "verify_group_identity",

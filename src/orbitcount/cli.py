@@ -22,14 +22,10 @@ import sys
 from .errors import (BudgetExceeded, GroupConstraintViolated, Indeterminate,
                      NotStronglyRegular, PrecisionExhausted, SchemaError,
                      TargetUnreachable)
-from .group_ring import build_group_order, lie_transport
-from .hermitian import build_hermitian_quotient, split_factor_check
 from .local_field import field_desc
-from .order_lattices import build_order, build_quotient
 from .verify import (SCHEMA_VERSION, instance_from_obj, instance_to_obj,
-                     naive_subspace_oracle, rand_group_instance,
-                     rand_invariants, sweep, verify_count_identity,
-                     verify_group_identity)
+                     oracle_checks, rand_group_instance, rand_invariants,
+                     sweep, verify_count_identity, verify_group_identity)
 
 
 def _parser():
@@ -196,59 +192,7 @@ def _cmd_gen(args):
 
 def _cmd_oracle(args):
     ab, mode = _load_instance(args.instance)
-    lines = []
-    ok = True
-    if mode == "group":
-        verdict = verify_group_identity(ab, precision=args.precision)
-        lines.append(f"group verdict: signed_sum={verdict.signed_sum} "
-                     f"N={verdict.N} pass={verdict.passed}")
-        order = build_group_order(ab, verdict.precision)
-        lie_verdict = verify_count_identity(lie_transport(order))
-        agree = (lie_verdict.signed_sum == verdict.signed_sum
-                 and lie_verdict.N == verdict.N)
-        ok = ok and agree
-        lines.append(f"lie transport: signed_sum={lie_verdict.signed_sum} "
-                     f"N={lie_verdict.N} "
-                     f"({'agrees' if agree else 'MISMATCH'})")
-    else:
-        verdict = verify_count_identity(ab, precision=args.precision)
-        lines.append(f"verdict: v={verdict.v} m={verdict.m} "
-                     f"signed_sum={verdict.signed_sum} N={verdict.N} "
-                     f"pass={verdict.passed}")
-        order = build_order(ab)
-        Q = build_quotient(order, verdict.precision)
-        try:
-            naive_m = naive_subspace_oracle(Q)
-            agree = naive_m == verdict.m
-            ok = ok and agree
-            lines.append("naive submodule scan: "
-                         + ("agrees" if agree else f"MISMATCH {naive_m}"))
-        except BudgetExceeded as e:
-            lines.append(f"naive submodule scan: skipped ({e})")
-        QE = build_hermitian_quotient(order, ab.desc, verdict.precision, fq=Q)
-        try:
-            naive_n = naive_subspace_oracle(QE)
-            agree = naive_n == verdict.N
-            ok = ok and agree
-            lines.append("naive self-dual scan: "
-                         + ("agrees" if agree else f"MISMATCH {naive_n}"))
-        except BudgetExceeded as e:
-            lines.append(f"naive self-dual scan: skipped ({e})")
-        if ab.desc.is_split:
-            agree = split_factor_check(Q, QE)
-            ok = ok and agree
-            lines.append("split factor bijection: "
-                         + ("agrees" if agree else "MISMATCH"))
-    redo_fn = verify_group_identity if mode == "group" else verify_count_identity
-    stable = True
-    for dp in (1, 2, 3):
-        redo = redo_fn(ab, precision=verdict.precision + dp)
-        stable = stable and (redo.m, redo.N) == (verdict.m, verdict.N)
-    ok = ok and stable
-    lines.append("precision stability +1..+3: "
-                 + ("agrees" if stable else "MISMATCH"))
-    lines.append("agreement: " + ("all applicable oracles agree" if ok
-                                  else "MISMATCH found"))
+    ok, lines = oracle_checks(ab, mode, precision=args.precision)
     print("\n".join(lines))
     return 0 if ok else 1
 

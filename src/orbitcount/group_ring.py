@@ -3,11 +3,11 @@
 Here P_a must have unit a_n, so t is invertible in O_E[t]/P_a, and
 theta acts by sigma on coefficients combined with t -> t^(-1).  The
 ideal (P_a) is theta-stable exactly when a_{n-i} = a_n sigma(a_i) for
-all i, which forces Nm(a_n) = 1; the proportionality unit
-(-1)^n sigma(a_n) is recorded on the built order.  The fixed ring is
-cut out by the projector (1 + theta)/2, whose Smith normal form hands
-over an O_F-basis with unit elementary divisors, and all counting
-reuses the quotient pipeline verbatim.  The transport back to the
+all i, which forces Nm(a_n) = 1.  The fixed ring is cut out by the
+projector (1 + theta)/2, whose Smith normal form hands over an
+O_F-basis with unit elementary divisors.  The built order has the
+shape of the Lie order, with s as T, so all counting reuses the
+quotient pipeline verbatim.  The transport back to the
 twisted Lie algebra picks a generator s, takes its multiplication
 characteristic coefficients c_i, and returns a_i~ = j^i c_i with
 b_m~ = j^m b'(s^m); correctness is enforced on the spot by a Gram
@@ -24,39 +24,29 @@ from .invariants import (InvariantPair, char_poly_disc, regular_val,
 from .linalg import (char_coeffs, mat_det, mat_identity, mat_mul,
                      mat_transpose, smith_normal_form)
 from .local_field import EElem, TruncSeries, imaginary_unit, j_power
-from .order_lattices import quotient_from_gram
+from .order_lattices import OrderData, build_quotient
 
 
-class GroupOrderData:
-    """Fixed ring of theta with its Gram and multiplication matrices.
+class GroupOrderData(OrderData):
+    """Fixed ring of theta, in the shape of OrderData.
 
-    fixed_basis columns are 2n real coordinates in the ambient basis
-    (t^l ; j t^l) of O_E[t]/P_a.  mult_ops[i] is multiplication by
-    basis element w_i written in the w-basis; G[i][r] = b'(w_i w_r).
-    gen_poly is the residual generator s as a polynomial in t, T_gen
-    its multiplication matrix in the w-basis, and gen_powers the matrix
-    whose columns are the w-coordinates of 1, s, .., s^(n-1).
+    In the w-basis of the fixed ring, G[i][r] = b'(w_i w_r) and T is the
+    multiplication matrix of the residual generator s, so
+    build_quotient serves this order too.  gen_poly is s as a
+    polynomial in t and gen_powers the matrix whose columns are the
+    w-coordinates of 1, s, .., s^(n-1).  N is the working precision
+    the order was built at.
     """
 
-    __slots__ = ("n", "ab", "fixed_basis", "mult_ops", "gen_poly", "T_gen",
-                 "gen_powers", "G", "val_delta", "val_disc", "theta_unit",
-                 "desc", "_N")
+    __slots__ = ("ab", "gen_poly", "gen_powers", "N")
 
-    def __init__(self, n, ab, fixed_basis, mult_ops, gen_poly, T_gen,
-                 gen_powers, G, val_delta, val_disc, theta_unit, desc, N):
-        self.n = n
+    def __init__(self, n, ab, gen_poly, T, gen_powers, G, val_delta,
+                 val_disc, desc, N):
+        super().__init__(n, T, G, val_delta, val_disc, desc)
         self.ab = ab
-        self.fixed_basis = fixed_basis
-        self.mult_ops = mult_ops
         self.gen_poly = gen_poly
-        self.T_gen = T_gen
         self.gen_powers = gen_powers
-        self.G = G
-        self.val_delta = val_delta
-        self.val_disc = val_disc
-        self.theta_unit = theta_unit
-        self.desc = desc
-        self._N = N
+        self.N = N
 
 
 def _poly_reduce(poly, ab):
@@ -163,7 +153,6 @@ def build_group_order(ab, N):
     one = EElem.one(desc)
     if not (an * an.sigma()).agrees_with(one):
         raise GroupConstraintViolated("Nm(a_n) must be 1")
-    theta_unit = an.sigma() if n % 2 == 0 else -an.sigma()
 
     val_disc = regular_val(char_poly_disc(ab), ab, "disc(P_a)")
     if val_disc is None:
@@ -207,9 +196,9 @@ def build_group_order(ab, N):
     if len(dexps) != n or any(dexps):
         raise GroupConstraintViolated(
             f"fixed ring is not free of rank {n} with unit divisors: {dexps}")
-    fixed_basis = [[Uinv[i][r] for r in range(n)] for i in range(2 * n)]
-
-    basis_polys = [_poly_of([fixed_basis[i][r] for i in range(2 * n)], desc, n)
+    # the first n columns of Uinv: a basis w of the fixed ring in the
+    # 2n real coordinates (t^l ; j t^l)
+    basis_polys = [_poly_of([Uinv[i][r] for i in range(2 * n)], desc, n)
                    for r in range(n)]
     for w in basis_polys:
         tw = _theta_poly(w, taus, ab)
@@ -248,10 +237,9 @@ def build_group_order(ab, N):
         raise Indeterminate("Gram determinant vanishes at working precision",
                             needed=2 * N)
 
-    gen_poly, T_gen, gen_powers = _find_generator(ab, basis_polys, taus, U, N)
-    return GroupOrderData(n, ab, fixed_basis, mult_ops, gen_poly, T_gen,
-                          gen_powers, G, val_delta, val_disc, theta_unit,
-                          desc, N)
+    gen_poly, T, gen_powers = _find_generator(ab, basis_polys, taus, U, N)
+    return GroupOrderData(n, ab, gen_poly, T, gen_powers, G, val_delta,
+                          val_disc, desc, N)
 
 
 def _theta_poly(poly, taus, ab):
@@ -329,7 +317,7 @@ def _find_generator(ab, basis_polys, taus, U, N):
 def group_counts(order, N):
     """(m, selfdual count, quotient) by the shared quotient pipeline."""
     # R = O_F[s], so stability under s is stability under R
-    Q = quotient_from_gram(order.G, [order.T_gen], N, order.val_delta, order.desc)
+    Q = build_quotient(order, N)
     m, Ncount = lattice_counts(Q)
     return m, Ncount, Q
 
@@ -346,8 +334,8 @@ def lie_transport(order):
     desc = order.desc
     k = desc.k
     n = order.n
-    N = order._N
-    s_poly, M_s, C = order.gen_poly, order.T_gen, order.gen_powers
+    N = order.N
+    s_poly, M_s, C = order.gen_poly, order.T, order.gen_powers
 
     one = EElem.one(desc)
     c = char_coeffs(M_s, TruncSeries.zero(k), TruncSeries.one(k))

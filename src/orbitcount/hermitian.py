@@ -160,8 +160,13 @@ def _hermitian_slices(QE):
     return slices
 
 
-def _selfdual(QE):
-    """The self-dual nodes of the walk over Q_E, given one sheet, re_1.
+def selfdual_submodules(QE):
+    """Canonical bases of all self-dual stable subspaces of Q_E.
+
+    Self-dual means stable and isotropic of dimension exactly v.  The
+    subspace walk runs over the whole of Q_E, unfactored, with the
+    slices of Q_E and one Hermitian sheet, re_1, so it keeps isotropic
+    nodes only.
 
     One sheet is enough.  re_r(x, y) = re_1(x, P^(r-1) y), both being
     the coefficient of pi^(-r) of the form, and im(x, y) = -re_1(x, J y)/d
@@ -179,17 +184,6 @@ def _selfdual(QE):
     return [S for S in nodes if S.dim == QE.v]
 
 
-def selfdual_submodules(QE):
-    """Canonical bases of all self-dual stable subspaces of Q_E.
-
-    Self-dual means stable and isotropic of dimension exactly v.  The
-    subspace walk runs over the whole of Q_E, unfactored, with the
-    Hermitian sheet re_1 (which _selfdual shows is enough), so it keeps
-    isotropic nodes only, and with the slices of Q_E.
-    """
-    return _selfdual(QE)
-
-
 def count_selfdual(Q):
     """#N: self-dual stable lattices between R(O_E) and its dual.
 
@@ -198,7 +192,8 @@ def count_selfdual(Q):
     on its own under its own work budget."""
     N = 1
     for B in Q.blocks:
-        N *= len(_selfdual(build_hermitian_quotient(None, Q.desc, None, fq=B)))
+        QE = build_hermitian_quotient(None, Q.desc, None, fq=B)
+        N *= len(selfdual_submodules(QE))
     return N
 
 

@@ -402,13 +402,9 @@ def regular_val(x, ab, what):
 
     A value that vanishes only modulo the working precision is
     inconclusive and raises Indeterminate with a doubled-precision hint.
-    So is an E value whose first digit lies at or past its precision,
-    which happens when its real component is known further than its
-    imaginary one: x is known only modulo pi^prec, whichever component
-    holds the digit, so the E and real paths classify alike.
     """
     v = x.val()
-    if v is not None and (x.prec is None or v < x.prec):
+    if v is not None:
         return v
     if x.prec is None:
         return None

@@ -382,13 +382,16 @@ class EElem:
         return self.re
 
     def val(self):
-        """min of the component valuations; None when 0 at working precision."""
+        """min of the component valuations; None when 0 at working precision.
+
+        The element is known modulo pi^prec, the lesser component
+        precision, so a digit at or past it, held by the component that
+        is known further, does not count: as for TruncSeries, that is 0.
+        """
         vr, vi = self.re.val(), self.im.val()
-        if vr is None:
-            return vi
-        if vi is None:
-            return vr
-        return min(vr, vi)
+        v = vi if vr is None else vr if vi is None else min(vr, vi)
+        prec = self.prec
+        return None if v is None or (prec is not None and v >= prec) else v
 
     def is_integral(self):
         v = self.val()

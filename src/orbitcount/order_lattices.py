@@ -152,13 +152,14 @@ def quotient_from_gram(G, mults, N, val_delta, desc):
     """Shared construction of O^n / G O^n with transported operators.
 
     mults are the real n x n matrices of the module generators in the
-    basis underlying G (for the order: just T; for the group order: the
-    residual generator).  The SNF U G V = diag(pi^d_i) identifies Q with
-    a sum of O/pi^(d_i); each operator M acts on dual coordinates as M^t
-    and is carried through U.  The torsion pairing comes from the
-    principal parts of U^-t V D^-1.  mults[0] becomes T_op, whose
-    slices the walks take their steps in; when it does not generate the
-    ring modulo pi the walks raise InvariantViolation.
+    basis underlying G (build_quotient passes the order's T: jt for the
+    Lie order, the residual generator s for the group order).  The SNF
+    U G V = diag(pi^d_i) identifies Q with a sum of O/pi^(d_i); each
+    operator M acts on dual coordinates as M^t and is carried through U.
+    The torsion pairing comes from the principal parts of U^-t V D^-1.
+    mults[0] becomes T_op, whose slices the walks take their steps in;
+    when it does not generate the ring modulo pi the walks raise
+    InvariantViolation.
     """
     if N <= val_delta:
         raise PrecisionExhausted(

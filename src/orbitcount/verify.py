@@ -19,8 +19,9 @@ from .errors import (BudgetExceeded, Indeterminate, InvariantViolation,
                      NotStronglyRegular, PrecisionExhausted, SchemaError,
                      TargetUnreachable, require)
 from .fqpoly import is_irreducible
-from .group_ring import build_group_order, group_counts
-from .hermitian import lattice_counts
+from .group_ring import build_group_order, group_counts, lie_transport
+from .hermitian import (build_hermitian_quotient, lattice_counts,
+                        split_factor_check)
 from .invariants import (InvariantPair, MatrixE, char_poly_disc,
                          delta_invariant, invariants_of, strong_regularity,
                          v_invariant)
@@ -42,14 +43,17 @@ class Verdict:
     expected_relation is "equal" when eta(Delta) = +1 (the two counts
     must agree) and "both_zero" when eta(Delta) = -1 (each side must
     vanish).  flags carry advisories that do not affect pass/fail.
+    order and quotient are what the counts were taken on: the order
+    (OrderData or GroupOrderData) and its quotient Q at the verdict's
+    precision.  The oracles read them; to_obj leaves them out.
     """
 
     __slots__ = ("n", "q", "ext", "mode", "v", "eta_delta", "m",
                  "signed_sum", "N", "expected_relation", "passed", "flags",
-                 "precision", "wall_ms")
+                 "precision", "wall_ms", "order", "quotient")
 
     def __init__(self, n, q, ext, mode, v, eta_delta, m, signed, N,
-                 flags, precision, wall_ms):
+                 flags, precision, wall_ms, order, quotient):
         self.n = n
         self.q = q
         self.ext = ext
@@ -67,6 +71,8 @@ class Verdict:
         self.flags = flags
         self.precision = precision
         self.wall_ms = wall_ms
+        self.order = order
+        self.quotient = quotient
 
     def to_obj(self):
         return {
@@ -123,52 +129,115 @@ def escalate_precision(build, precision):
             N = bumped
 
 
+def _verdict(ab, mode, count, precision, t0):
+    """The verdict body of both versions.
+
+    count(N) returns (order, Q, m, self-dual count) at working precision
+    N; it runs at the precision given (default 2n+4) and escalates as
+    escalate_precision describes.  t0 is when the verdict started.
+    """
+    desc = ab.desc
+    n = ab.n
+    (order, Q, m, Ncnt), N = escalate_precision(
+        count, precision if precision is not None else auto_precision(n))
+    flags = []
+    if desc.p <= n:
+        flags.append("outside_proven_range")
+    if mode == "group":
+        b0val = ab.b[0].val()
+        if b0val is None or b0val > 0:
+            flags.append("nonunit_b0")
+    v = order.val_delta
+    wall = int((time.monotonic() - t0) * 1000)
+    return Verdict(n, desc.q, desc.ext, mode, v, _eta_of_val(v, desc),
+                   m, signed_sum(m, desc), Ncnt, flags, N, wall, order, Q)
+
+
+def _lie_verdict(ab, order, precision, t0):
+    """Lie verdict on a built order, which does not depend on N."""
+    def count(N):
+        Q = build_quotient(order, N)
+        return (order, Q) + lattice_counts(Q)
+
+    return _verdict(ab, "lie", count, precision, t0)
+
+
 def verify_count_identity(ab, precision=None):
     """Full pipeline verdict for a Lie-algebra invariant pair.
 
     The order is built once; the quotients and both counts are built at
-    a working precision that starts at 2n+4 (or the explicit override)
-    and escalates as escalate_precision describes.
+    each working precision the escalation tries.
     """
     t0 = time.monotonic()
-    desc = ab.desc
-    n = ab.n
-    order = build_order(ab)
-    (m, Ncnt), N = escalate_precision(
-        lambda N: lattice_counts(build_quotient(order, N)),
-        precision if precision is not None else auto_precision(n))
-    flags = []
-    if desc.p <= n:
-        flags.append("outside_proven_range")
-    v = order.val_delta
-    wall = int((time.monotonic() - t0) * 1000)
-    return Verdict(n, desc.q, desc.ext, "lie", v, _eta_of_val(v, desc),
-                   m, signed_sum(m, desc), Ncnt, flags, N, wall)
+    return _lie_verdict(ab, build_order(ab), precision, t0)
 
 
 def verify_group_identity(ab, precision=None):
-    """Verdict for a group-version pair (t invertible, theta-fixed ring)."""
-    t0 = time.monotonic()
-    desc = ab.desc
-    n = ab.n
+    """Verdict for a group-version pair (t invertible, theta-fixed ring).
 
-    def counts(N):
+    The group order depends on N, so it is built at each working
+    precision the escalation tries."""
+    def count(N):
         order = build_group_order(ab, N)
-        m, Ncnt, _ = group_counts(order, N)
-        return order, m, Ncnt
+        m, Ncnt, Q = group_counts(order, N)
+        return order, Q, m, Ncnt
 
-    (order, m, Ncnt), N = escalate_precision(
-        counts, precision if precision is not None else auto_precision(n))
-    flags = []
-    if desc.p <= n:
-        flags.append("outside_proven_range")
-    b0val = ab.b[0].val()
-    if b0val is None or b0val > 0:
-        flags.append("nonunit_b0")
-    eta_delta = _eta_of_val(order.val_delta, desc)
-    wall = int((time.monotonic() - t0) * 1000)
-    return Verdict(n, desc.q, desc.ext, "group", order.val_delta, eta_delta,
-                   m, signed_sum(m, desc), Ncnt, flags, N, wall)
+    return _verdict(ab, "group", count, precision, time.monotonic())
+
+
+def oracle_checks(ab, mode, precision=None):
+    """(ok, lines): the verdict of ab and every slow oracle that applies.
+
+    A group verdict is rechecked through its order's Lie transport.  A
+    Lie verdict is rechecked by the naive scans of its quotient and of
+    the Hermitian double (skipped, with the reason, past the work
+    budget) and, when split, by the factor bijection.  Both are
+    recounted at precision +1..+3: the Lie verdict from its own order,
+    the group verdict from group orders rebuilt at each precision.
+    """
+    checks, lines = [], []
+
+    def check(name, agree, shown=""):
+        checks.append(agree)
+        lines.append(f"{name}: " + ("agrees" if agree else f"MISMATCH{shown}"))
+
+    if mode == "group":
+        verdict = verify_group_identity(ab, precision=precision)
+        lie = verify_count_identity(lie_transport(verdict.order))
+        agree = (lie.signed_sum, lie.N) == (verdict.signed_sum, verdict.N)
+        checks.append(agree)
+        lines += [f"group verdict: signed_sum={verdict.signed_sum} "
+                  f"N={verdict.N} pass={verdict.passed}",
+                  f"lie transport: signed_sum={lie.signed_sum} N={lie.N} "
+                  f"({'agrees' if agree else 'MISMATCH'})"]
+    else:
+        verdict = verify_count_identity(ab, precision=precision)
+        lines.append(f"verdict: v={verdict.v} m={verdict.m} "
+                     f"signed_sum={verdict.signed_sum} N={verdict.N} "
+                     f"pass={verdict.passed}")
+        Q = verdict.quotient
+        QE = build_hermitian_quotient(verdict.order, ab.desc,
+                                      verdict.precision, fq=Q)
+        for name, X, want in (("naive submodule scan", Q, verdict.m),
+                              ("naive self-dual scan", QE, verdict.N)):
+            try:
+                got = naive_subspace_oracle(X)
+            except BudgetExceeded as e:
+                lines.append(f"{name}: skipped ({e})")
+                continue
+            check(name, got == want, f" {got}")
+        if ab.desc.is_split:
+            check("split factor bijection", split_factor_check(Q, QE))
+    stable = True
+    for N in range(verdict.precision + 1, verdict.precision + 4):
+        again = (verify_group_identity(ab, precision=N) if mode == "group"
+                 else _lie_verdict(ab, verdict.order, N, time.monotonic()))
+        stable = stable and (again.m, again.N) == (verdict.m, verdict.N)
+    check("precision stability +1..+3", stable)
+    ok = all(checks)
+    lines.append("agreement: " + ("all applicable oracles agree" if ok
+                                  else "MISMATCH found"))
+    return ok, lines
 
 
 def dvr_closed_form(d, residue_deg, desc):

@@ -9,28 +9,17 @@ import pytest
 import orbitcount
 from orbitcount.errors import (GroupConstraintViolated, NotStronglyRegular,
                                SchemaError)
-from orbitcount.group_ring import build_group_order, group_counts, lie_transport
+from orbitcount.group_ring import build_group_order, lie_transport
 from orbitcount.hermitian import build_hermitian_quotient, selfdual_submodules
 from orbitcount.invariants import InvariantPair
 from orbitcount.local_field import (EElem, TruncSeries, field_desc,
                                     imaginary_unit)
 from orbitcount.order_lattices import stable_submodules
-from orbitcount.verify import (_norm_one_constants, auto_precision,
-                               escalate_precision, rand_group_instance,
-                               verify_count_identity)
+from orbitcount.verify import (_norm_one_constants, rand_group_instance,
+                               verify_count_identity, verify_group_identity)
 
 inert3 = field_desc(3, "inert")
 split3 = field_desc(3, "split")
-
-
-def _group_pipeline(ab):
-    # same escalation policy as the driver, returning the built order too
-    def build(N):
-        order = build_group_order(ab, N)
-        m, Ncnt, _ = group_counts(order, N)
-        return order, m, Ncnt
-
-    return escalate_precision(build, auto_precision(ab.n))[0]
 
 
 def test_norm_one_constants():
@@ -52,15 +41,14 @@ def test_chain_orders(desc):
     for e in range(4):
         b0 = EElem.from_real(desc, TruncSeries.pi_pow(k, e))
         ab = InvariantPair([g], [b0], desc)
-        order, m, Ncnt = _group_pipeline(ab)
-        assert order.val_delta == e
-        assert m == [1] * (e + 1)
+        gv = verify_group_identity(ab)
+        assert gv.v == e and gv.m == [1] * (e + 1)
         if desc.is_split:
-            assert Ncnt == e + 1
+            assert gv.N == e + 1
         else:
-            assert Ncnt == (1 if e % 2 == 0 else 0)
-        vd = verify_count_identity(lie_transport(order))
-        assert (vd.m, vd.N, vd.v) == (m, Ncnt, e)
+            assert gv.N == (1 if e % 2 == 0 else 0)
+        vd = verify_count_identity(lie_transport(gv.order))
+        assert (vd.m, vd.N, vd.v) == (gv.m, gv.N, e)
 
 
 def test_transport_agreement_sampled():
@@ -68,45 +56,29 @@ def test_transport_agreement_sampled():
         for seed in range(3):
             for n in (1, 2):
                 ab = rand_group_instance(n, desc, seed=seed)
-                order, m, Ncnt = _group_pipeline(ab)
-                vd = verify_count_identity(lie_transport(order))
-                assert (vd.m, vd.N) == (m, Ncnt)
-                assert vd.v == order.val_delta
+                gv = verify_group_identity(ab)
+                vd = verify_count_identity(lie_transport(gv.order))
+                assert (vd.m, vd.N, vd.v) == (gv.m, gv.N, gv.v)
 
 
 @pytest.mark.parametrize("q,seed,m", [(3, 5, [1, 2, 2, 1]),
                                        (3, 17, [1, 2, 1]),
                                        (5, 13, [1, 2, 1])])
 def test_two_factor_group_instance(q, seed, m):
-    # T_gen has two linear residual factors, so the counts walk two
-    # blocks; the whole-space listers and the Lie transport agree
+    # T has two linear residual factors, so the counts walk two blocks;
+    # the whole-space listers and the Lie transport agree
     desc = field_desc(q, "inert")
-    ab = rand_group_instance(2, desc, seed=seed)
-
-    def build(N):
-        order = build_group_order(ab, N)
-        return (order,) + group_counts(order, N)
-
-    (order, got, Ncnt, Q), _ = escalate_precision(build, auto_precision(2))
+    gv = verify_group_identity(rand_group_instance(2, desc, seed=seed))
+    Q = gv.quotient
     assert [len(g) - 1 for g in Q.factors] == [1, 1]
     whole = [0] * (Q.v + 1)
     for S in stable_submodules(Q):
         whole[Q.v - S.dim] += 1
     QE = build_hermitian_quotient(None, desc, None, fq=Q)
-    assert got == whole == m
-    assert Ncnt == len(selfdual_submodules(QE)) == 0
-    lv = verify_count_identity(lie_transport(order))
-    assert (lv.m, lv.N) == (got, Ncnt)
-
-
-def test_fixed_basis_shape():
-    ab = rand_group_instance(2, inert3, seed=1)
-    order = build_group_order(ab, 10)
-    assert len(order.fixed_basis) == 4
-    assert all(len(row) == 2 for row in order.fixed_basis)
-    assert len(order.mult_ops) == 2
-    assert order.theta_unit is not None
-    assert order.T_gen is not None
+    assert gv.m == whole == m
+    assert gv.N == len(selfdual_submodules(QE)) == 0
+    lv = verify_count_identity(lie_transport(gv.order))
+    assert (lv.m, lv.N) == (gv.m, gv.N)
 
 
 def test_rejects_nonunit_leading_coefficient():

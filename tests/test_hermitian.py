@@ -226,7 +226,7 @@ def _one_sheet_matches_every_sheet(QE):
 ])
 def test_selfdual_walk_needs_one_sheet(case):
     """Given re_1 alone the walk visits the nodes it visits given all 2v
-    sheets (the argument is in hermitian._selfdual)."""
+    sheets (the argument is in hermitian.selfdual_submodules)."""
     QE = _pipeline(*case)[1]
     _one_sheet_matches_every_sheet(QE)
     assert {S.key() for S in selfdual_submodules(QE)} == {

@@ -158,6 +158,16 @@ def test_split_pair_coordinates():
     assert x.val() == 0 and x.is_integral()
 
 
+def test_eelem_val_ignores_digits_past_its_precision():
+    # pi^6 + O(pi^9) + j O(pi^4) is known modulo pi^4 only, so it is 0
+    # there, as a series would be
+    x = EElem(inert3, TruncSeries.pi_pow(k3, 6, 9), TruncSeries.zero(k3, 4))
+    assert x.prec == 4
+    assert x.val() is None and x.is_integral()
+    y = EElem(inert3, TruncSeries.pi_pow(k3, 3, 9), TruncSeries.zero(k3, 4))
+    assert y.val() == 3
+
+
 def test_eta_values():
     for e in range(5):
         x = TruncSeries.pi_pow(k3, e)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import orbitcount
+from orbitcount import group_ring, verify
 from orbitcount.errors import BudgetExceeded, SchemaError, TargetUnreachable
 from orbitcount.hermitian import (build_hermitian_quotient, count_selfdual,
                                   split_factor_check)
@@ -20,9 +21,9 @@ from orbitcount.order_lattices import (build_order, build_quotient,
 from orbitcount.verify import (_norm_one_constants, dvr_closed_form,
                                instance_from_obj, instance_to_obj,
                                matrix_orbit_oracle, naive_subspace_oracle,
-                               rand_group_instance, rand_invariants,
-                               rand_sn_matrix, sweep, verify_count_identity,
-                               verify_group_identity)
+                               oracle_checks, rand_group_instance,
+                               rand_invariants, rand_sn_matrix, sweep,
+                               verify_count_identity, verify_group_identity)
 
 inert3 = field_desc(3, "inert")
 split3 = field_desc(3, "split")
@@ -325,11 +326,10 @@ def _all_masks_count(Q):
 @pytest.mark.parametrize("n,q,ext,v", [(2, 3, "split", 3), (2, 3, "inert", 3),
                                        (1, 9, "split", 2)])
 def test_staged_naive_scan_matches_all_masks(n, q, ext, v):
-    ab = rand_invariants(n, field_desc(q, ext), v, seed=0)
-    P = verify_count_identity(ab).precision
-    order = build_order(ab)
-    Q = build_quotient(order, P)
-    QE = build_hermitian_quotient(order, ab.desc, P, fq=Q)
+    vd = verify_count_identity(rand_invariants(n, field_desc(q, ext), v,
+                                               seed=0))
+    Q = vd.quotient
+    QE = build_hermitian_quotient(vd.order, Q.desc, vd.precision, fq=Q)
     m = naive_subspace_oracle(Q)
     assert m == _all_masks_count(Q) == enumerate_stable_submodules(Q)
     N = naive_subspace_oracle(QE)
@@ -343,6 +343,25 @@ def test_naive_oracle_budget(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         naive_subspace_oracle(Q)
     assert exc.value.estimate == 212
+
+
+def test_oracle_checks_reuse_the_verdict(monkeypatch):
+    """The oracles read the verdict's order and quotient: a Lie instance
+    builds its order once, rechecks at +1..+3 included, and a group
+    instance searches a generator once per precision tried (the verdict
+    and three rechecks), none to hand the transport an order."""
+    lie = rand_invariants(1, split3, 2, seed=3)
+    grp = rand_group_instance(1, inert3, seed=5)
+    calls = []
+    for mod, name in ((verify, "build_order"),
+                      (group_ring, "_find_generator")):
+        monkeypatch.setattr(mod, name, lambda *a, f=getattr(mod, name),
+                            name=name: calls.append(name) or f(*a))
+    assert oracle_checks(lie, "lie")[0]
+    assert calls == ["build_order"]
+    del calls[:]
+    assert oracle_checks(grp, "group")[0]
+    assert sorted(calls) == ["_find_generator"] * 4 + ["build_order"]
 
 
 def test_matrix_oracle_two_by_two():
@@ -412,10 +431,9 @@ def test_slow_line_walk_rows(n, q, ext, v, seed, m, N):
     assert vd.passed and vd.v == v
     assert vd.m == m and vd.N == N
     if desc.is_split:
-        order = build_order(ab)
-        Q = build_quotient(order, vd.precision)
-        QE = build_hermitian_quotient(order, desc, vd.precision, fq=Q)
-        assert split_factor_check(Q, QE)
+        QE = build_hermitian_quotient(vd.order, desc, vd.precision,
+                                      fq=vd.quotient)
+        assert split_factor_check(vd.quotient, QE)
 
 
 # v = 16 rows whose T has two linear residual factors: one walk over the

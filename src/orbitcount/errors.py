@@ -83,6 +83,12 @@ class SchemaError(OrbitCountError):
         self.field = field
 
 
+def is_json_int(x):
+    """True for an integer of a JSON document: an int that is not a bool,
+    since isinstance(True, int) holds."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def require(ok, what):
     """Raise InvariantViolation(what) unless ok: an assert that -O keeps."""
     if not ok:

@@ -8,12 +8,14 @@ x = xr + j xi it splits into two k-bilinear component forms
     re = B(xr, yr) - d B(xi, yi)      im = B(xi, yr) - B(xr, yi)
 
 with B the torsion form on Q and d = j^2, so one subspace-orthogonality
-kernel serves both the inert and split cases.  Self-dual lattices are
-exactly the stable isotropic subspaces of dimension v.  They are found
-by order_lattices.walk, the walk behind the general-linear count, given
-the component forms as sheets (which prunes it to isotropic nodes:
-every chain inside a self-dual lattice stays isotropic) and the slices
-of Q carried over to Q_E, where T acts as T + T and J as the scalar j.
+kernel serves both the inert and split cases.  Like Q, Q_E stores one
+sheet of each: re and im built from Q's pi^(-1) sheet, their pi^(-r)
+sheets being re P^(r-1) and im P^(r-1).  Self-dual lattices are exactly
+the stable isotropic subspaces of dimension v.  They are found by
+order_lattices.walk, the walk behind the general-linear count, given
+the one form re (which prunes it to isotropic nodes: every chain inside
+a self-dual lattice stays isotropic) and the slices of Q carried over
+to Q_E, where T acts as T + T and J as the scalar j.
 
 Each step of the walk adds a simple module, which is a line over a
 residue field of k[T, J], so walking those lines finds every self-dual
@@ -32,7 +34,7 @@ submodules.
 
 Q_E splits over the factors of T as Q does: its blocks are the doubles
 Q_g + j Q_g of Q's blocks, stable under every operator and orthogonal
-under both sheets.  A stable L is the sum of its parts L_g, and its
+under both forms.  A stable L is the sum of its parts L_g, and its
 orthogonal is the sum of theirs, so L is self-dual exactly when every
 L_g is self-dual in its block: N is the product of the blocks' counts.
 count_selfdual doubles and walks each block of Q on its own;
@@ -52,9 +54,11 @@ from .order_lattices import (_poly_apply, build_quotient,
 class HermQuotient:
     """Q_E with operators P, T, J and the two component forms.
 
-    herm_re[r-1] and herm_im[r-1] hold the coefficient of pi^(-r) of
-    the real and imaginary parts of the Hermitian pairing, as 2v x 2v
-    symmetric resp. antisymmetric matrices over k.  ops carries every
+    herm_re and herm_im hold the coefficient of pi^(-1) of the real and
+    imaginary parts of the Hermitian pairing, as 2v x 2v symmetric
+    resp. antisymmetric matrices over k, built from Q's one sheet B.
+    As on Q, the coefficient of pi^(-r) is herm_re P^(r-1) resp.
+    herm_im P^(r-1), with P = P_op (form_sheets).  ops carries every
     lifted module generator plus J, so stability means stability over
     the full ring after base change.  base is the quotient Q it doubles;
     slices are built on first use.
@@ -111,32 +115,28 @@ def build_hermitian_quotient(order, desc, N, fq=None):
     T2 = _lift(space, Q.T_op, v)
     eye = space.arr(np.eye(v, dtype=np.int64))
     J2 = _block2(space, zero, space.mul(eye, d), eye, zero, v)
-    herm_re = space.zeros((v, 2 * v, 2 * v))
-    herm_im = space.zeros((v, 2 * v, 2 * v))
-    for r in range(v):
-        B = Q.pairing[r]
-        herm_re[r] = _block2(space, B, zero, zero, space.neg(space.mul(B, d)), v)
-        herm_im[r] = _block2(space, zero, space.neg(B), B, zero, v)
-        # Hermitian symmetry and sesquilinearity in component form
-        Hre, Him = herm_re[r], herm_im[r]
-        require(np.array_equal(Hre, Hre.T)
-                and np.array_equal(Him, space.neg(Him.T)),
-                "Hermitian sheets are not (anti)symmetric")
-        dHim = space.mul(Him, d)
-        require(np.array_equal(space.matmul(J2.T, Hre), dHim)
-                and np.array_equal(space.matmul(J2.T, Him), Hre)
-                and np.array_equal(space.matmul(Hre, J2), space.neg(dHim))
-                and np.array_equal(space.matmul(Him, J2), space.neg(Hre)),
-                "Hermitian form is not sesquilinear in j")
-        for M in lifted:
-            require(all(np.array_equal(space.matmul(M.T, H),
-                                       space.matmul(H, M))
-                        for H in (Hre, Him)),
-                    "Hermitian form is not equivariant")
-    if v:
-        stacked = np.concatenate([herm_re.reshape(v * 2 * v, 2 * v),
-                                  herm_im.reshape(v * 2 * v, 2 * v)], axis=0)
-        require(space.rank(stacked) == 2 * v, "Hermitian form is not perfect")
+    B = Q.pairing
+    herm_re = _block2(space, B, zero, zero, space.neg(space.mul(B, d)), v)
+    herm_im = _block2(space, zero, space.neg(B), B, zero, v)
+    # Hermitian symmetry and sesquilinearity in component form, checked
+    # once: the pi^(-r) sheets are these times P^(r-1), and P is a
+    # lifted op
+    require(np.array_equal(herm_re, herm_re.T)
+            and np.array_equal(herm_im, space.neg(herm_im.T)),
+            "Hermitian form is not (anti)symmetric")
+    dHim = space.mul(herm_im, d)
+    require(np.array_equal(space.matmul(J2.T, herm_re), dHim)
+            and np.array_equal(space.matmul(J2.T, herm_im), herm_re)
+            and np.array_equal(space.matmul(herm_re, J2), space.neg(dHim))
+            and np.array_equal(space.matmul(herm_im, J2),
+                               space.neg(herm_re)),
+            "Hermitian form is not sesquilinear in j")
+    for M in lifted:
+        require(all(np.array_equal(space.matmul(M.T, H), space.matmul(H, M))
+                    for H in (herm_re, herm_im)),
+                "Hermitian form is not equivariant")
+    require(space.rank(np.concatenate([herm_re, herm_im])) == 2 * v,
+            "Hermitian form is not perfect")
     return HermQuotient(v, space, P2, T2, J2, lifted + [J2], herm_re, herm_im,
                         desc, Q)
 
@@ -165,22 +165,22 @@ def selfdual_submodules(QE):
 
     Self-dual means stable and isotropic of dimension exactly v.  The
     subspace walk runs over the whole of Q_E, unfactored, with the
-    slices of Q_E and one Hermitian sheet, re_1, so it keeps isotropic
-    nodes only.
+    slices of Q_E and the one stored form re = re_1, so it keeps
+    isotropic nodes only.
 
-    One sheet is enough.  re_r(x, y) = re_1(x, P^(r-1) y), both being
-    the coefficient of pi^(-r) of the form, and im(x, y) = -re_1(x, J y)/d
-    (from re(x, J y) = d (B(xr, yi) - B(xi, yr))).  The walk's nodes S are
+    One form is enough.  The sheet re_r is re_1 P^(r-1), so re_r(x, y) =
+    re_1(x, P^(r-1) y), and im_r(x, y) = -re_r(x, J y)/d (from
+    re(x, J y) = d (B(xr, yi) - B(xi, yr))).  The walk's nodes S are
     stable under P and J, so a w with P w in S that is re_1-orthogonal
     to S is orthogonal to S under all 2v sheets, and a node isotropic
     under re_1 is isotropic under all of them: the candidates and the
-    kept nodes are those of the walk given every sheet.  Its line
-    prefilter loses nothing either: for such a w, re_r(w, w) =
+    kept nodes are the stable isotropic ones of the whole form.  Its
+    line prefilter loses nothing either: for such a w, re_r(w, w) =
     re_1(w, P^(r-1) w) = 0 for r >= 2 since P^(r-1) w lies in S, and
     im(w, w) = 0 since im is alternating.
     """
     nodes = walk(QE.space, QE.dim, QE.P_op, QE.ops[1:], QE.slices,
-                 QE.herm_re[:1], top=QE.v)
+                 form=QE.herm_re, top=QE.v)
     return [S for S in nodes if S.dim == QE.v]
 
 

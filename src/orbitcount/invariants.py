@@ -26,7 +26,8 @@ group pair, or one whose parity fails) is computed over E, which also
 serves the tests as the reference for the real forms.
 """
 
-from .errors import Indeterminate, NotStronglyRegular, SchemaError, require
+from .errors import (Indeterminate, NotStronglyRegular, SchemaError,
+                     is_json_int, require)
 from .linalg import char_coeffs, mat_det
 from .local_field import (EElem, TruncSeries, eelem_from_obj, eelem_to_obj,
                           eta)
@@ -149,7 +150,7 @@ class InvariantPair:
         if not isinstance(obj, dict):
             raise SchemaError(field, "expected an object")
         n = obj.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not is_json_int(n) or n < 1:
             raise SchemaError(field + ".n", "expected a positive integer")
         out = {}
         for name in ("a", "b"):
@@ -457,61 +458,3 @@ def char_poly_disc(ab):
     how the determinant was expanded.
     """
     return _disc(ab, real_forms(ab))
-
-
-def membership_check(A, which):
-    """Predicates for the four twisted spaces, at working precision.
-
-    s_n: A + sigma(A) = 0          u_n: A + sigma(A)^T = 0
-    S_n: integral and A sigma(A) = 1    U_n: integral and A sigma(A)^T = 1
-    The Hermitian form on V is the identity Gram matrix, so the
-    adjoint A^# is simply the conjugate transpose.
-    """
-    n = A.n
-    zero = EElem.zero(A.desc)
-    one = EElem.one(A.desc)
-    sa = A.sigma()
-    if which in ("u_n", "U_n"):
-        sa = sa.transpose()
-    if which in ("s_n", "u_n"):
-        return all(
-            _agrees_zero(A.entries[i][j] + sa.entries[i][j])
-            for i in range(n) for j in range(n))
-    if which in ("S_n", "U_n"):
-        if not (A.is_integral() and sa.is_integral()):
-            return False
-        from .linalg import mat_mul
-        prod = mat_mul(A.entries, sa.entries, zero)
-        return all(
-            _agrees_zero(prod[i][j] - (one if i == j else zero))
-            for i in range(n) for j in range(n))
-    raise ValueError(f"unknown space {which!r}")
-
-
-def _agrees_zero(x):
-    return _vanishes(x.re) and _vanishes(x.im)
-
-
-def matching_check(x, y):
-    """True iff the two pairs share all invariants at the joint precision."""
-    if x.n != y.n or x.desc != y.desc:
-        return False
-    return all(p.agrees_with(q) for p, q in zip(x.a + x.b, y.a + y.b))
-
-
-def variant_transport(ab, jelem):
-    """Twist real invariants into parity-correct ones: x_i -> j^i x_i.
-
-    Input arrays must be real (the gl/h variant); j is the purely
-    imaginary unit.  Delta picks up the unit factor (j^2)^(n(n-1)/2),
-    so its valuation and eta class survive the twist untouched.
-    """
-    one = EElem.one(ab.desc)
-    jp = [one]
-    for _ in range(ab.n):
-        jp.append(jp[-1] * jelem)
-    if not all(_vanishes(x.im) for x in ab.a + ab.b):
-        raise ValueError("variant_transport expects real invariants")
-    a = [jp[i] * ab.a[i - 1] for i in range(1, ab.n + 1)]
-    b = [jp[i] * ab.b[i] for i in range(ab.n)]
-    return InvariantPair(a, b, ab.desc)

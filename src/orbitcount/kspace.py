@@ -73,8 +73,8 @@ class KSpace:
                              f"{A.ndim} and {B.ndim}")
         out = self.zeros(A.shape[:-1] + (B.shape[-1],))
         for t in range(K):
-            out = self.add(out, self.mul(A[..., t:t + 1], B[..., t, :][..., None, :]
-                                         if A.ndim > 2 else B[..., t, :]))
+            out = self.add(out, self.mul(A[..., t:t + 1],
+                                         B[..., t, :][..., None, :]))
         return out
 
     def mat_vec(self, M, v):
@@ -212,11 +212,15 @@ def gaussian_binomial(n, d, q):
     return num // den
 
 
-def iter_rref_bases(space, n, d, max_batch=4096):
+RREF_BATCH = 2048
+
+
+def iter_rref_bases(space, n, d):
     """All d-dimensional subspaces of k^n, one RREF basis each, in batches.
 
-    Yields (W, pivots) with W of shape (batch, d, n).  Every subspace has
-    exactly one reduced echelon basis, so the enumeration is duplicate-free.
+    Yields (W, pivots) with W of shape (batch, d, n), batch at most
+    RREF_BATCH.  Every subspace has exactly one reduced echelon basis, so
+    the enumeration is duplicate-free.
     """
     q = space.q
     if d == 0:
@@ -227,8 +231,8 @@ def iter_rref_bases(space, n, d, max_batch=4096):
                 if c > piv[r] and c not in piv]
         f = len(free)
         total = q ** f
-        for start in range(0, total, max_batch):
-            cnt = min(max_batch, total - start)
+        for start in range(0, total, RREF_BATCH):
+            cnt = min(RREF_BATCH, total - start)
             idx = np.arange(start, start + cnt, dtype=np.int64)
             W = space.zeros((cnt, d, n))
             for r, c in zip(range(d), piv):

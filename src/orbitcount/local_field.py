@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import EtaUndefined, NotAUnit, PrecisionExhausted, SchemaError
+from .errors import (EtaUndefined, NotAUnit, PrecisionExhausted, SchemaError,
+                     is_json_int)
 from .gf import gf_by_order, gf_table
 
 SPLIT = "split"
@@ -373,9 +374,6 @@ class EElem:
     def is_real(self):
         return self.im.is_zero()
 
-    def is_imaginary(self):
-        return self.re.is_zero()
-
     def real_series(self):
         if not self.is_real():
             raise ValueError("element has a nonzero imaginary part")
@@ -506,17 +504,6 @@ def eta(x, desc=None):
     return -1 if v % 2 else 1
 
 
-def valuation_and_eta(x, desc=None):
-    """(valuation, eta); valuation None means 0 to the working precision."""
-    if isinstance(x, EElem):
-        desc = x.desc
-        x = x.real_series()
-    v = x.val()
-    if v is None:
-        return None, None
-    return v, eta(x, desc)
-
-
 # -- serialization ---------------------------------------------------
 #
 # Series: {"shift": s, "coeffs": [[digits..], ..]} where each inner list is
@@ -539,12 +526,12 @@ def series_from_obj(obj, k, field=""):
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise SchemaError(field, "expected a series object with 'coeffs'")
     shift = obj.get("shift", 0)
-    if not isinstance(shift, int):
+    if not is_json_int(shift):
         raise SchemaError(field + ".shift", "must be an integer")
     coeffs = []
     for i, ds in enumerate(obj["coeffs"]):
         if not (isinstance(ds, list) and len(ds) == k.m
-                and all(isinstance(d, int) and 0 <= d < k.p for d in ds)):
+                and all(is_json_int(d) and 0 <= d < k.p for d in ds)):
             raise SchemaError(f"{field}.coeffs[{i}]",
                               f"expected {k.m} base-{k.p} digits")
         coeffs.append(k.from_digits(ds))
@@ -586,12 +573,12 @@ def eelem_from_obj(obj, desc, field=""):
     if not isinstance(sobj, dict) or "coeffs" not in sobj:
         raise SchemaError(field + ".inert", "expected a series object")
     shift = sobj.get("shift", 0)
-    if not isinstance(shift, int):
+    if not is_json_int(shift):
         raise SchemaError(field + ".inert.shift", "must be an integer")
     res, ims = [], []
     for i, ds in enumerate(sobj["coeffs"]):
         if not (isinstance(ds, list) and len(ds) == 2 * k.m
-                and all(isinstance(d, int) and 0 <= d < k.p for d in ds)):
+                and all(is_json_int(d) and 0 <= d < k.p for d in ds)):
             raise SchemaError(f"{field}.inert.coeffs[{i}]",
                               f"expected {2 * k.m} base-{k.p} digits")
         res.append(k.from_digits(ds[:k.m]))

@@ -9,7 +9,7 @@ multiplication by pi and T by jt.  Everything here is exact: Q is cut
 out by a Smith normal form of G, operators are transported through
 the same change of basis, and the counting walk enumerates canonical
 echelon forms, never sampling.  The same walk, given the Hermitian
-sheets, finds the self-dual lattices on the O_E side.  Both walks step
+form, finds the self-dual lattices on the O_E side.  Both walks step
 by simple extensions, one line over a residue field k[T]/(g) per
 irreducible factor g of T's minimal polynomial; the quotient builds
 those slices from T with fqpoly's factoring on first use.
@@ -100,13 +100,16 @@ class FiniteQuotient:
 
     ops[0] is always P (multiplication by pi); the remaining entries
     generate the order action, and T_op = ops[1] generates it modulo
-    pi.  pairing[r-1][x][y] is the coefficient of pi^(-r) in the torsion
-    form <x, y> in F/O_F, for r = 1..v.  factors are the distinct monic
-    irreducible factors g of T's minimal polynomial, slices the walk
-    slices ([g(T)], [T^0, .., T^(deg g - 1)]) in the same order, and
-    blocks the quotients Q_g (just [Q] with one factor); all three are
-    built on first use, so a quotient that is never walked skips them.
-    A block has no Smith exponents (dexps None).
+    pi.  pairing is the one stored sheet B (v x v) of the torsion form
+    <x, y> in F/O_F: B[x][y] is the coefficient of pi^(-1).  The
+    coefficient of pi^(-r) is that of pi^(-1) in pi^(r-1) <x, y> =
+    <x, P^(r-1) y>, so sheet r is B P^(r-1), r = 1..v, derived where
+    needed (form_sheets).  factors are the distinct monic irreducible
+    factors g of T's minimal polynomial, slices the walk slices
+    ([g(T)], [T^0, .., T^(deg g - 1)]) in the same order, and blocks
+    the quotients Q_g (just [Q] with one factor); all three are built
+    on first use, so a quotient that is never walked skips them.  A
+    block has no Smith exponents (dexps None).
     """
 
     __slots__ = ("v", "space", "P_op", "T_op", "ops", "pairing",
@@ -156,10 +159,12 @@ def quotient_from_gram(G, mults, N, val_delta, desc):
     Lie order, the residual generator s for the group order).  The SNF
     U G V = diag(pi^d_i) identifies Q with a sum of O/pi^(d_i); each
     operator M acts on dual coordinates as M^t and is carried through U.
-    The torsion pairing comes from the principal parts of U^-t V D^-1.
-    mults[0] becomes T_op, whose slices the walks take their steps in;
-    when it does not generate the ring modulo pi the walks raise
-    InvariantViolation.
+    The torsion pairing comes from the principal parts of U^-t V D^-1;
+    only its pi^(-1) sheet B is kept, checked once (symmetric, M^t B =
+    B M for every operator M, P included, and of rank v), which covers
+    every sheet B P^(r-1).  mults[0] becomes T_op, whose slices the
+    walks take their steps in; when it does not generate the ring modulo
+    pi the walks raise InvariantViolation.
     """
     if N <= val_delta:
         raise PrecisionExhausted(
@@ -201,26 +206,23 @@ def quotient_from_gram(G, mults, N, val_delta, desc):
     require(all(Pi[i][j].agrees_with(Pi[j][i])
                 for i in range(n) for j in range(n)),
             "torsion pairing matrix is not symmetric")
-    pairing = space.zeros((v, v, v))
+    pairing = space.zeros((v, v))
     for x, (i, e) in enumerate(gens):
         for y, (j, f) in enumerate(gens):
-            for r in range(1, v + 1):
-                pairing[r - 1, x, y] = Pi[i][j].coeff_at(-r - e - f)
+            pairing[x, y] = Pi[i][j].coeff_at(-1 - e - f)
 
     ops = [P_op] + fq_ops
     for A in ops:
         for B in ops:
             require(np.array_equal(space.matmul(A, B), space.matmul(B, A)),
                     "module operators do not commute")
-    for r in range(v):
-        B = pairing[r]
-        require(np.array_equal(B, B.T), "torsion pairing is not symmetric")
-        for M in ops:
-            require(np.array_equal(space.matmul(M.T, B), space.matmul(B, M)),
-                    "torsion pairing is not equivariant")
-    if v:
-        require(space.rank(pairing.reshape(v * v, v)) == v,
-                "torsion pairing is not perfect")
+    require(np.array_equal(pairing, pairing.T),
+            "torsion pairing is not symmetric")
+    for M in ops:
+        require(np.array_equal(space.matmul(M.T, pairing),
+                               space.matmul(pairing, M)),
+                "torsion pairing is not equivariant")
+    require(space.rank(pairing) == v, "torsion pairing is not perfect")
     T_op = fq_ops[0] if fq_ops else space.zeros((v, v))
     return FiniteQuotient(v, space, P_op, T_op, ops, pairing, dexps, desc)
 
@@ -238,12 +240,12 @@ def _work_budget():
     return int(cap) if cap else 4_000_000
 
 
-def walk(space, dim, P, ops, slices=(), sheets=(), top=None):
+def walk(space, dim, P, ops, slices=(), form=None, top=None):
     """Stable subspaces of k^dim found upward from 0, in discovery order.
 
     Each node S is stable under P and ops.  Its candidates are
-    K = {w : P w in S, w orthogonal to S under every sheet}, a stable
-    space containing S.  slices are pairs (cuts, basis): the slice keeps
+    K = {w : P w in S, w orthogonal to S under form}, a stable space
+    containing S.  slices are pairs (cuts, basis): the slice keeps
     M = {w in K : C w in S for every cut C}, on which basis acts as a
     field F = k^e over M/S (basis[0] the identity), and each F-line of
     M/S, closed under ops, is one new node S + F w of dimension
@@ -262,12 +264,12 @@ def walk(space, dim, P, ops, slices=(), sheets=(), top=None):
     k[T]/g, also J - r(T) or J + r(T).  So S_(i+1) is an F-line over
     S_i in one slice, and the walk reaches S' from 0 step by step.
 
-    sheets are bilinear forms; when given, only nodes on which every
-    sheet vanishes are kept and extended, so a candidate must be
-    orthogonal to S and isotropic under each.  Every subspace of an
-    isotropic space is isotropic, so the series above stays inside the
-    walk.  Nodes of dimension top (default dim) are leaves; slices that
-    would pass it are skipped and unsliced closures that pass it dropped.
+    form is a bilinear form; when given, only nodes on which it
+    vanishes are kept and extended, so a candidate must be orthogonal to
+    S and isotropic.  Every subspace of an isotropic space is isotropic,
+    so the series above stays inside the walk.  Nodes of dimension top
+    (default dim) are leaves; slices that would pass it are skipped and
+    unsliced closures that pass it dropped.
 
     The work is the candidate lines: a step whose M/S has F-dimension c
     has (q^(ec) - 1) / (q^e - 1) of them, known before any is built.
@@ -283,8 +285,6 @@ def walk(space, dim, P, ops, slices=(), sheets=(), top=None):
     exact = bool(slices)
     slices = [(cuts, np.stack(basis))
               for cuts, basis in slices or [((), [eye])]]
-    # the sheets side by side, so one product applies all of them
-    Hcat = np.concatenate(sheets, axis=1) if len(sheets) else None
     lines_of = {}
     seed = EchelonBasis(space, dim)
     seen = {seed.key()}
@@ -298,8 +298,8 @@ def walk(space, dim, P, ops, slices=(), sheets=(), top=None):
         # ann x = 0 exactly when x lies in S, read off S's reduced basis
         ann = space.rref_nullspace(B, S.pivots, dim)
         rows = [space.matmul(ann, P)]
-        if S.dim and Hcat is not None:
-            rows.append(_sheet_rows(space, B, Hcat))
+        if S.dim and form is not None:
+            rows.append(space.matmul(B, form))
         K = space.right_nullspace(np.concatenate(rows, axis=0))
         for cuts, basis in slices:
             e = len(basis)
@@ -333,11 +333,10 @@ def walk(space, dim, P, ops, slices=(), sheets=(), top=None):
             if (c, e) not in lines_of:
                 lines_of[c, e] = space.arr(list(_projective_tuples(c, q, e)))
             lines = space.matmul(lines_of[c, e], np.stack(W))
-            if Hcat is not None:
-                # necessary isotropy of the new line, under every sheet
-                vals = space.dots(_sheet_rows(space, lines, Hcat),
-                                  np.tile(lines, (len(sheets), 1)))
-                lines = lines[~vals.reshape(len(sheets), -1).any(axis=0)]
+            if form is not None:
+                # necessary isotropy of the new line
+                lines = lines[space.dots(space.matmul(lines, form),
+                                         lines) == 0]
             for w in lines:
                 node = S.copy()
                 stack = [w]
@@ -356,20 +355,13 @@ def walk(space, dim, P, ops, slices=(), sheets=(), top=None):
                 if key in seen:
                     continue
                 seen.add(key)
-                if Hcat is not None:
+                if form is not None:
                     nb = node.basis_matrix()
-                    if space.matmul(_sheet_rows(space, nb, Hcat), nb.T).any():
+                    if space.matmul(space.matmul(nb, form), nb.T).any():
                         continue
                 frontier.append(node)
                 out.append(node)
     return out
-
-
-def _sheet_rows(space, X, Hcat):
-    """The blocks X H_1, .., X H_s stacked, for Hcat = [H_1 | .. | H_s]."""
-    dim = Hcat.shape[0]
-    XH = space.matmul(X, Hcat).reshape(len(X), -1, dim)
-    return XH.transpose(1, 0, 2).reshape(-1, dim)
 
 
 def _projective_tuples(c, q, e=1):
@@ -408,17 +400,17 @@ def _factor_slice(space, g, T):
 
 def _primary_blocks(Q):
     """The blocks Q_g = ker g(T)^v of Q, one per factor g, in Q.factors
-    order, each a FiniteQuotient with its restricted operators and
-    pairing sheets and the slice of its own g.
+    order, each a FiniteQuotient with its restricted operators, its
+    restricted pairing sheet and the slice of its own g.
 
     One change of basis B, the kernels side by side, carries every
-    operator to B^-1 A B and every sheet to B^t H B.  The operators
-    commute with T, so they keep each kernel, and the kernels are
-    orthogonal, so both come out block-diagonal; the check is explicit,
-    as is the check that g(T) is nilpotent on Q_g, without which the
-    walk on Q_g, given g's slice only, would miss the other factors.
-    A block of dimension d has exponent at most d, so the pairing sheets
-    past d vanish on it and it keeps the first d.
+    operator to B^-1 A B and the stored sheet H to B^t H B.  The
+    operators commute with T, so they keep each kernel, and the kernels
+    are orthogonal, so both come out block-diagonal; the check is
+    explicit, as is the check that g(T) is nilpotent on Q_g, without
+    which the walk on Q_g, given g's slice only, would miss the other
+    factors.  A block's sheet r is again its B P^(r-1): both factors are
+    restrictions of block-diagonal matrices.
     """
     space, v = Q.space, Q.v
     kernels = [space.right_nullspace(
@@ -438,9 +430,9 @@ def _primary_blocks(Q):
     for s in spans:
         inside[s, s] = True
     ops = [space.matmul(space.matmul(Binv, A), B) for A in Q.ops]
-    sheets = [space.matmul(space.matmul(B.T, H), B) for H in Q.pairing]
-    require(not any(M[~inside].any() for M in ops + sheets),
-            "module operators or pairing sheets are not block-diagonal "
+    form = space.matmul(space.matmul(B.T, Q.pairing), B)
+    require(not any(M[~inside].any() for M in ops + [form]),
+            "module operators or the pairing are not block-diagonal "
             "over the factors of T")
     blocks = []
     for g, s in zip(Q.factors, spans):
@@ -448,11 +440,8 @@ def _primary_blocks(Q):
         Tg = ops[1][s, s]
         require(not _mat_pow(space, _poly_apply(space, g, Tg), d).any(),
                 "a block of Q sees more than its own factor of T")
-        require(not any(H[s, s].any() for H in sheets[d:]),
-                "a pairing sheet past a block's dimension is nonzero on it")
-        pairing = np.stack([H[s, s] for H in sheets[:d]])
         blocks.append(FiniteQuotient(
-            d, space, ops[0][s, s], Tg, [M[s, s] for M in ops], pairing,
+            d, space, ops[0][s, s], Tg, [M[s, s] for M in ops], form[s, s],
             None, Q.desc, [g], [_factor_slice(space, g, Tg)]))
     return blocks
 
@@ -533,21 +522,32 @@ def _poly_product(a, b):
 
 
 def torsion_dual(Q, S):
-    """Orthogonal complement under the torsion pairing; an involution."""
+    """Orthogonal complement of a stable S under the torsion pairing; an
+    involution on stable subspaces.
+
+    It is the null space of basis(S) B.  Under sheet r = B P^(r-1),
+    x^t B P^(r-1) y = (P^(r-1) x)^t B y, as B P = P^t B, and P^(r-1) x
+    lies in S with x, so orthogonality to S under B alone is
+    orthogonality under every sheet.
+    """
     space = Q.space
-    v = Q.v
-    basis = S.basis_matrix()
-    if S.dim == 0:
-        rows = space.arr(np.eye(v, dtype=np.int64))
-    else:
-        # stack <x, .> over every basis x and every principal part
-        sheets = [space.matmul(basis, Q.pairing[r]) for r in range(v)]
-        rows = space.right_nullspace(np.concatenate(sheets, axis=0))
-    eb = EchelonBasis(space, v)
+    rows = space.right_nullspace(space.matmul(S.basis_matrix(), Q.pairing))
+    eb = EchelonBasis(space, Q.v)
     for w in rows:
         eb.insert(w)
-    require(eb.dim == v - S.dim, "torsion dual has the wrong dimension")
+    require(eb.dim == Q.v - S.dim, "torsion dual has the wrong dimension")
     return eb
+
+
+def form_sheets(space, H, P, count):
+    """[H, H P, .., H P^(count-1)]: the coefficients of pi^(-1), ..,
+    pi^(-count) of a torsion form whose pi^(-1) coefficient is H, P
+    being multiplication by pi.  The oracles that test every sheet
+    derive them here."""
+    out = [H]
+    while len(out) < count:
+        out.append(space.matmul(out[-1], P))
+    return out[:count]
 
 
 def signed_sum(m, desc):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, Indeterminate, InvariantViolation,
                      NotStronglyRegular, PrecisionExhausted, SchemaError,
-                     TargetUnreachable, require)
+                     TargetUnreachable, is_json_int, require)
 from .fqpoly import is_irreducible
 from .group_ring import build_group_order, group_counts, lie_transport
 from .hermitian import (build_hermitian_quotient, lattice_counts,
@@ -30,7 +30,7 @@ from .kspace import (KSpace, batch_form_vanishes, batch_stable_mask,
 from .local_field import (EElem, TruncSeries, eelem_to_obj, field_desc,
                           j_power)
 from .order_lattices import (_work_budget, build_order, build_quotient,
-                             signed_sum, walk)
+                             form_sheets, signed_sum, walk)
 
 SCHEMA_VERSION = 1
 PRECISION_CAP = 256
@@ -268,7 +268,9 @@ def naive_subspace_oracle(Q):
     scanning every subspace of every dimension and keeping those stable
     under all operators.  For a Hermitian quotient returns the single
     self-dual count: dimension-v subspaces that are stable and on which
-    every torsion pairing sheet vanishes.  Every subspace is enumerated
+    every sheet of the Hermitian form vanishes, all 2v of them derived
+    from the stored pair (re P^r and im P^r, r < v), not only the one
+    sheet the walk reads.  Every subspace is enumerated
     and meets the first test (P); a candidate is dropped at the first
     operator or sheet that rejects it, so later tests run on the
     survivors only.  The scan is exponential, so it refuses up front
@@ -286,11 +288,12 @@ def naive_subspace_oracle(Q):
     if tot == 0:
         return 1 if herm else [1]
 
-    sheets = list(Q.herm_re) + list(Q.herm_im) if herm else []
+    sheets = (form_sheets(space, Q.herm_re, Q.P_op, Q.v)
+              + form_sheets(space, Q.herm_im, Q.P_op, Q.v)) if herm else []
 
     def stable_counts(d):
         hits = 0
-        for W, piv in iter_rref_bases(space, tot, d, 2048):
+        for W, piv in iter_rref_bases(space, tot, d):
             for op in Q.ops:
                 W = W[batch_stable_mask(space, W, piv, op)]
             for sheet in sheets:
@@ -635,14 +638,14 @@ def instance_from_obj(obj):
             raise SchemaError(key, "missing required field")
     q = obj["q"]
     ext = obj["ext"]
-    if not isinstance(q, int):
+    if not is_json_int(q):
         raise SchemaError("q", "expected an integer prime power")
     desc = field_desc(q, ext)
     for key, want in (("p", desc.p), ("m", desc.m)):
         if key in obj and obj[key] != want:
             raise SchemaError(key, f"inconsistent with q={q}: expected {want}")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not is_json_int(n) or n < 1:
         raise SchemaError("n", "expected a positive integer")
     mode = obj.get("mode", "lie")
     if mode not in ("lie", "group"):
@@ -651,7 +654,7 @@ def instance_from_obj(obj):
                                 field="instance")
     precision = obj.get("precision")
     if precision is not None:
-        if not isinstance(precision, int) or precision < 1:
+        if not is_json_int(precision) or precision < 1:
             raise SchemaError("precision", "expected null or a positive integer")
         ab = ab.truncated(precision)
     if mode == "lie":

@@ -16,7 +16,8 @@ from orbitcount.group_ring import lie_transport
 from orbitcount.hermitian import selfdual_submodules
 from orbitcount.linalg import mat_mul, mat_transpose
 from orbitcount.local_field import TruncSeries, field_desc
-from orbitcount.order_lattices import stable_submodules, torsion_dual
+from orbitcount.order_lattices import (form_sheets, stable_submodules,
+                                       torsion_dual)
 from orbitcount.verify import (dvr_closed_form, matrix_orbit_oracle,
                                naive_subspace_oracle, rand_group_instance,
                                rand_invariants, rand_sn_matrix,
@@ -227,10 +228,11 @@ def _structure_violations(r):
     sp = Q.space
     v = Q.v
     if v:
-        if sp.rank(Q.pairing.reshape(v * v, v)) != v:
+        # every sheet t < v, derived from the stored one as B P^t
+        sheets = form_sheets(sp, Q.pairing, Q.P_op, v)
+        if sp.rank(np.concatenate(sheets)) != v:
             bad.append("pairing not perfect")
-        for t in range(v):
-            B = Q.pairing[t]
+        for B in sheets:
             if not np.array_equal(B, B.T):
                 bad.append("pairing sheet not symmetric")
             for M in Q.ops:
@@ -252,8 +254,8 @@ def _structure_violations(r):
     eyed = spe.mul(spe.arr(np.eye(QE.dim, dtype=np.int64)), d)
     if not np.array_equal(spe.matmul(J, J), eyed):
         bad.append("J squared wrong")
-    for t in range(QE.v):
-        Hre, Him = QE.herm_re[t], QE.herm_im[t]
+    for Hre, Him in zip(form_sheets(spe, QE.herm_re, QE.P_op, QE.v),
+                        form_sheets(spe, QE.herm_im, QE.P_op, QE.v)):
         if not np.array_equal(Hre, Hre.T):
             bad.append("re sheet not symmetric")
         if not np.array_equal(Him, spe.neg(Him.T)):

@@ -16,7 +16,8 @@ from orbitcount.kspace import KSpace
 from orbitcount.local_field import EElem, TruncSeries, field_desc
 from orbitcount.order_lattices import (_matrix_min_poly, _poly_apply,
                                        build_order, build_quotient,
-                                       enumerate_stable_submodules, walk)
+                                       enumerate_stable_submodules,
+                                       form_sheets, walk)
 from orbitcount.verify import rand_invariants
 
 inert3 = field_desc(3, "inert")
@@ -26,6 +27,13 @@ split3 = field_desc(3, "split")
 def _pi_pair(desc, e):
     b0 = EElem.from_real(desc, TruncSeries.pi_pow(desc.k, e, prec=10))
     return InvariantPair([EElem.zero(desc, 10)], [b0], desc)
+
+
+def _every_sheet(QE):
+    """All 2v sheets of the Hermitian form, re_r and im_r for r = 1..v,
+    derived from the stored pair."""
+    return (form_sheets(QE.space, QE.herm_re, QE.P_op, QE.v)
+            + form_sheets(QE.space, QE.herm_im, QE.P_op, QE.v))
 
 
 def _herm(ab, N=10):
@@ -59,7 +67,7 @@ def test_selfdual_nodes_are_stable_isotropic():
     for S in selfdual_submodules(QE):
         assert S.dim == QE.v
         W = S.basis_matrix()
-        for H in list(QE.herm_re) + list(QE.herm_im):
+        for H in _every_sheet(QE):
             assert not sp.matmul(sp.matmul(W, H), W.T).any()
         for M in QE.ops:
             for row in W:
@@ -74,8 +82,10 @@ def test_hermitian_sheet_symmetry():
     J = QE.J_op
     eyed = sp.mul(sp.arr(np.eye(QE.dim, dtype=np.int64)), d)
     assert np.array_equal(sp.matmul(J, J), eyed)
-    for r in range(QE.v):
-        Hre, Him = QE.herm_re[r], QE.herm_im[r]
+    assert QE.herm_re.shape == QE.herm_im.shape == (QE.dim, QE.dim)
+    res = form_sheets(sp, QE.herm_re, QE.P_op, QE.v)
+    ims = form_sheets(sp, QE.herm_im, QE.P_op, QE.v)
+    for Hre, Him in zip(res, ims):
         assert np.array_equal(Hre, Hre.T)
         assert np.array_equal(Him, sp.neg(Him.T))
         assert np.array_equal(sp.matmul(J.T, Hre), sp.mul(Him, d))
@@ -204,18 +214,26 @@ def test_sliced_walk_matches_line_walk(case, degrees, sizes):
     sliced = walk(Q.space, Q.v, Q.P_op, Q.ops[1:], Q.slices)
     lines = walk(Q.space, Q.v, Q.P_op, Q.ops[1:], slices=())
     assert {S.key() for S in sliced} == {S.key() for S in lines}
-    sheets = [H for r in range(QE.v) for H in (QE.herm_re[r], QE.herm_im[r])]
-    sliced = walk(QE.space, QE.dim, QE.P_op, QE.ops[1:], QE.slices, sheets,
-                  top=QE.v)
-    lines = walk(QE.space, QE.dim, QE.P_op, QE.ops[1:], (), sheets, top=QE.v)
+    sliced = walk(QE.space, QE.dim, QE.P_op, QE.ops[1:], QE.slices,
+                  form=QE.herm_re, top=QE.v)
+    lines = walk(QE.space, QE.dim, QE.P_op, QE.ops[1:], (), form=QE.herm_re,
+                 top=QE.v)
     assert {S.key() for S in sliced} == {S.key() for S in lines}
 
 
 def _one_sheet_matches_every_sheet(QE):
-    args = (QE.space, QE.dim, QE.P_op, QE.ops[1:], QE.slices)
-    every = [H for r in range(QE.v) for H in (QE.herm_re[r], QE.herm_im[r])]
-    want = {S.key() for S in walk(*args, every, top=QE.v)}
-    assert {S.key() for S in walk(*args, QE.herm_re[:1], top=QE.v)} == want
+    """The walk given the form re_1 keeps exactly the stable subspaces
+    of dimension at most v that every one of the 2v sheets vanishes on,
+    found here by the walk without a form."""
+    sp = QE.space
+    args = (sp, QE.dim, QE.P_op, QE.ops[1:], QE.slices)
+    every = _every_sheet(QE)
+    want = set()
+    for S in walk(*args, top=QE.v):
+        W = S.basis_matrix()
+        if not any(sp.matmul(sp.matmul(W, H), W.T).any() for H in every):
+            want.add(S.key())
+    assert {S.key() for S in walk(*args, form=QE.herm_re, top=QE.v)} == want
 
 
 @pytest.mark.parametrize("case", [
@@ -225,13 +243,13 @@ def _one_sheet_matches_every_sheet(QE):
     (3, 3, "split", 3, 6), (3, 3, "inert", 3, 1),
 ])
 def test_selfdual_walk_needs_one_sheet(case):
-    """Given re_1 alone the walk visits the nodes it visits given all 2v
-    sheets (the argument is in hermitian.selfdual_submodules)."""
+    """Given re_1 alone the walk keeps the nodes that all 2v sheets keep
+    (the argument is in hermitian.selfdual_submodules)."""
     QE = _pipeline(*case)[1]
     _one_sheet_matches_every_sheet(QE)
     assert {S.key() for S in selfdual_submodules(QE)} == {
         S.key() for S in walk(QE.space, QE.dim, QE.P_op, QE.ops[1:],
-                              QE.slices, QE.herm_re[:1], top=QE.v)
+                              QE.slices, form=QE.herm_re, top=QE.v)
         if S.dim == QE.v}
 
 

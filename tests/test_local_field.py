@@ -14,7 +14,7 @@ from orbitcount.errors import (EtaUndefined, NotAUnit, PrecisionExhausted,
 from orbitcount.gf import gf_by_order, is_prime
 from orbitcount.local_field import (EElem, TruncSeries, eelem_from_obj,
                                     eelem_to_obj, eta, field_desc,
-                                    imaginary_unit, valuation_and_eta)
+                                    imaginary_unit)
 
 k3 = gf_by_order(3)
 inert3 = field_desc(3, "inert")
@@ -173,8 +173,6 @@ def test_eta_values():
         x = TruncSeries.pi_pow(k3, e)
         assert eta(x, inert3) == (-1) ** e
         assert eta(x, split3) == 1
-    assert valuation_and_eta(TruncSeries.pi_pow(k3, 3), inert3) == (3, -1)
-    assert valuation_and_eta(TruncSeries.zero(k3), inert3) == (None, None)
     with pytest.raises(EtaUndefined):
         eta(TruncSeries.zero(k3), inert3)
 

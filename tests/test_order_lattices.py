@@ -16,14 +16,17 @@ from orbitcount.hermitian import build_hermitian_quotient, count_selfdual
 from orbitcount.invariants import InvariantPair, moment_sequence
 from orbitcount.kspace import (EchelonBasis, KSpace, batch_stable_mask,
                                iter_rref_bases)
-from orbitcount.linalg import mat_det
+from orbitcount.linalg import (mat_det, mat_mul, mat_transpose,
+                               smith_normal_form)
 from orbitcount.local_field import (EElem, TruncSeries, field_desc,
                                     imaginary_unit)
-from orbitcount.order_lattices import (build_order, build_quotient,
+from orbitcount.order_lattices import (_mat_pow, _poly_apply, build_order,
+                                       build_quotient,
                                        enumerate_stable_submodules,
-                                       signed_sum, stable_submodules,
-                                       torsion_dual, walk)
-from orbitcount.verify import rand_invariants
+                                       form_sheets, signed_sum,
+                                       stable_submodules, torsion_dual, walk)
+from orbitcount.verify import (rand_group_instance, rand_invariants,
+                               verify_count_identity, verify_group_identity)
 
 inert3 = field_desc(3, "inert")
 split3 = field_desc(3, "split")
@@ -251,13 +254,83 @@ def test_pairing_perfect_and_equivariant():
     Q = build_quotient(build_order(ab), 10)
     sp = Q.space
     v = Q.v
-    stacked = Q.pairing.reshape(v * v, v)
-    assert sp.rank(stacked) == v
-    for r in range(v):
-        B = Q.pairing[r]
+    assert Q.pairing.shape == (v, v)
+    sheets = form_sheets(sp, Q.pairing, Q.P_op, v)
+    assert sp.rank(Q.pairing) == sp.rank(np.concatenate(sheets)) == v
+    for B in sheets:
         assert np.array_equal(B, B.T)
         for M in Q.ops:
             assert np.array_equal(sp.matmul(M.T, B), sp.matmul(B, M))
+
+
+def _smith_sheets(G, N, k):
+    """Every sheet of the torsion form, r = 1..v, read off the principal
+    parts of U^-t V D^-1 for the Smith form U G V = D, as the quotient
+    once stored them all: the reference for the one stored sheet."""
+    n = len(G)
+    U, Uinv, V, dexps = smith_normal_form(G, N)
+    v = sum(dexps)
+    gens = [(i, e) for i in range(n) for e in range(dexps[i])]
+    zero = TruncSeries.zero(k, N)
+    Pi = mat_mul(mat_transpose(Uinv), V, zero)
+    sheets = np.zeros((v, v, v), dtype=np.int64)
+    for x, (i, e) in enumerate(gens):
+        for y, (j, f) in enumerate(gens):
+            part = Pi[i][j].shifted(-dexps[j])
+            for r in range(1, v + 1):
+                sheets[r - 1, x, y] = part.coeff_at(-r - e - f)
+    return sheets
+
+
+def _stacked_dual(space, sheets, S):
+    """Orthogonal complement of S under every sheet at once."""
+    basis = S.basis_matrix()
+    rows = [space.matmul(basis, H) for H in sheets]
+    eb = EchelonBasis(space, S.n)
+    for w in space.right_nullspace(np.concatenate(rows)):
+        eb.insert(w)
+    return eb
+
+
+@pytest.mark.parametrize("mode,n,q,ext,v,seed", [
+    # two blocks each: two linear factors, and factors of degree 1 and 2
+    ("lie", 2, 3, "split", 3, 0), ("lie", 2, 5, "split", 2, 3),
+    ("lie", 3, 3, "split", 3, 6),
+    # q = 9: kspace's prime-power path, one block and two
+    ("lie", 2, 9, "inert", 2, 0), ("lie", 2, 9, "split", 2, 0),
+    # factors of degree 1 and 2, and one deeper single block
+    ("lie", 3, 5, "inert", 3, 0), ("lie", 2, 3, "inert", 6, 700022),
+    # group quotients: two blocks each at q = 3, 5; v = 1 at q = 9
+    ("group", 2, 3, "inert", None, 5), ("group", 2, 5, "inert", None, 13),
+    ("group", 2, 9, "split", None, 5), ("group", 1, 9, "inert", None, 1),
+])
+def test_stored_sheet_gives_every_smith_sheet(mode, n, q, ext, v, seed):
+    """Sheet r of the Smith construction is B P^(r-1) for the stored B,
+    on Q and, carried through the change of basis, on each block; and
+    for every stable S the dual from B is the dual under every sheet."""
+    desc = field_desc(q, ext)
+    if mode == "lie":
+        vd = verify_count_identity(rand_invariants(n, desc, v, seed=seed))
+    else:
+        vd = verify_group_identity(rand_group_instance(n, desc, seed=seed))
+    Q, sp = vd.quotient, vd.quotient.space
+    want = _smith_sheets(vd.order.G, vd.precision, desc.k)
+    assert want.shape == (Q.v, Q.v, Q.v)
+    got = form_sheets(sp, Q.pairing, Q.P_op, Q.v)
+    assert all(np.array_equal(H, W) for H, W in zip(got, want))
+    assert sp.rank(want.reshape(-1, Q.v)) == sp.rank(Q.pairing) == Q.v
+    for S in stable_submodules(Q):
+        assert torsion_dual(Q, S).key() == _stacked_dual(sp, want, S).key()
+    # block g sits on the kernel of g(T)^v, in the basis the blocks use
+    for g, B in zip(Q.factors, Q.blocks):
+        K = sp.right_nullspace(_mat_pow(sp, _poly_apply(sp, g, Q.T_op), Q.v))
+        assert len(K) == B.v
+        sheets = form_sheets(sp, B.pairing, B.P_op, Q.v)
+        for H, W in zip(sheets, want):
+            assert np.array_equal(H, sp.matmul(sp.matmul(K, W), K.T))
+        for S in stable_submodules(B):
+            assert torsion_dual(B, S).key() == _stacked_dual(
+                sp, sheets[:B.v], S).key()
 
 
 def test_signed_sum_conventions():
@@ -335,7 +408,7 @@ except InvariantViolation as exc:
 """
 
 MIXING_OP = _TWO_BLOCKS + "ops.append(mix)" + _COUNT_BAD
-MIXING_SHEET = _TWO_BLOCKS + "pairing[0] = mix + mix.T" + _COUNT_BAD
+MIXING_SHEET = _TWO_BLOCKS + "pairing = mix + mix.T" + _COUNT_BAD
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

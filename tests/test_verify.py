@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,8 @@ from orbitcount.kspace import (batch_form_vanishes, batch_stable_mask,
                                iter_rref_bases)
 from orbitcount.local_field import EElem, TruncSeries, field_desc
 from orbitcount.order_lattices import (build_order, build_quotient,
-                                       enumerate_stable_submodules)
+                                       enumerate_stable_submodules,
+                                       form_sheets)
 from orbitcount.verify import (_norm_one_constants, dvr_closed_form,
                                instance_from_obj, instance_to_obj,
                                matrix_orbit_oracle, naive_subspace_oracle,
@@ -279,6 +281,37 @@ def test_instance_schema_errors():
         instance_from_obj(unvalidated)
 
 
+BOOL_FIELDS = [
+    ("q", ("q",)), ("n", ("n",)), ("precision", ("precision",)),
+    ("invariants.n", ("pair", "n")),
+    ("b[0].inert.shift", ("b", 0, "inert", "shift")),
+    ("b[0].inert.coeffs[0]", ("b", 0, "inert", "coeffs", 0, 0)),
+    ("b[0].split[1].shift", ("b", 0, "split", 1, "shift")),
+    ("b[0].split[0].coeffs[0]", ("b", 0, "split", 0, "coeffs", 0, 0)),
+]
+
+
+@pytest.mark.parametrize("field,path", BOOL_FIELDS,
+                         ids=[f for f, _ in BOOL_FIELDS])
+def test_instance_schema_rejects_booleans(field, path):
+    # isinstance(True, int) holds, so a JSON true must be refused by name
+    # rather than read as 1
+    desc = split3 if "split" in path else inert3
+    obj = json.loads(json.dumps(instance_to_obj(
+        rand_invariants(1, desc, 1, seed=1))))
+    if path[0] == "pair":
+        call = lambda: InvariantPair.from_obj(  # noqa: E731
+            {"n": True, "a": obj["a"], "b": obj["b"]}, desc)
+    else:
+        at = obj
+        for key in path[:-1]:
+            at = at[key]
+        at[path[-1]] = True
+        call = lambda: instance_from_obj(obj)  # noqa: E731
+    with pytest.raises(SchemaError, match="^" + re.escape(field) + ":"):
+        call()
+
+
 def test_sweep_deterministic():
     rows1 = sweep(1, 3, "inert", 4, 6, seed=11)
     rows2 = sweep(1, 3, "inert", 4, 6, seed=11)
@@ -305,11 +338,12 @@ def _all_masks_count(Q):
     the batch and the masks are AND-ed."""
     herm = hasattr(Q, "herm_re")
     tot = 2 * Q.v if herm else Q.v
-    sheets = list(Q.herm_re) + list(Q.herm_im) if herm else []
+    sheets = (form_sheets(Q.space, Q.herm_re, Q.P_op, Q.v)
+              + form_sheets(Q.space, Q.herm_im, Q.P_op, Q.v)) if herm else []
 
     def count(d):
         hits = 0
-        for W, piv in iter_rref_bases(Q.space, tot, d, 2048):
+        for W, piv in iter_rref_bases(Q.space, tot, d):
             mask = batch_stable_mask(Q.space, W, piv, Q.ops[0])
             for op in Q.ops[1:]:
                 mask &= batch_stable_mask(Q.space, W, piv, op)

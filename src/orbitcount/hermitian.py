@@ -37,8 +37,22 @@ Q_g + j Q_g of Q's blocks, stable under every operator and orthogonal
 under both forms.  A stable L is the sum of its parts L_g, and its
 orthogonal is the sum of theirs, so L is self-dual exactly when every
 L_g is self-dual in its block: N is the product of the blocks' counts.
-count_selfdual doubles and walks each block of Q on its own;
-selfdual_submodules lists over the whole of Q_E.
+
+A block whose d is a square r(T)^2 modulo its g is never doubled.  As
+p is odd and g(T) is nilpotent on Q_g, Hensel's lemma lifts r to r~
+with r~(T)^2 = d on Q_g, so J^2 = r~(T)^2 and the double is the sum of
+the halves H+- = ker(J -+ r~(T)) = {(+-r~(T) y, y)} (coordinates
+x = xr + j xi).  y -> (+-r~(T) y, y) makes each half a copy of the
+module Q_g, J acting on it as the polynomial +-r~(T) in T, so a stable
+L is A+ + A'- for stable submodules A, A' of Q_g.  re vanishes on each
+half (B(r~ y, r~ y') = d B(y, y'), T being self-adjoint) and pairs
+(y+, y'-) to -2d B(y, y'), so L is self-dual exactly when A and A' are
+orthogonal under B and dim A + dim A' = v_g, that is when A' is the
+torsion dual of A.  count_selfdual counts those pairs among the
+block's stable submodules, which its stable walk has already listed;
+r~ itself is never built.  The other blocks (inert, f odd) are doubled
+and walked on their own; selfdual_submodules lists over the whole of
+Q_E and is the oracle for both counts.
 """
 
 import numpy as np
@@ -187,20 +201,49 @@ def selfdual_submodules(QE):
 def count_selfdual(Q):
     """#N: self-dual stable lattices between R(O_E) and its dual.
 
-    Q is the order quotient; only the doubles Q_g + j Q_g of its blocks
-    are built, and N is the product of their counts, each block walked
-    on its own under its own work budget."""
+    Q is the order quotient and N the product of its blocks' counts.  A
+    block where d is a square modulo its factor g (every split block,
+    inert blocks of even degree, and the empty Q) counts the pairs
+    (A, A') of its stable submodules with dim A + dim A' = v_g and
+    basis(A) B basis(A')^t = 0 (the module docstring has the argument),
+    with one product per A against the stacked bases of dimension
+    v_g - dim A.  Every A must find exactly one partner, its torsion
+    dual; a walk that lost a node raises InvariantViolation.  Only the
+    other blocks are doubled to Q_g + j Q_g and walked, each under its
+    own work budget."""
     N = 1
     for B in Q.blocks:
-        QE = build_hermitian_quotient(None, Q.desc, None, fq=B)
-        N *= len(selfdual_submodules(QE))
+        if not B.factors or sqrt_mod(Q.desc.jsq, B.factors[0],
+                                     B.space.k) is not None:
+            N *= _orthogonal_pairs(B)
+        else:
+            QE = build_hermitian_quotient(None, Q.desc, None, fq=B)
+            N *= len(selfdual_submodules(QE))
     return N
+
+
+def _orthogonal_pairs(B):
+    """Pairs (A, A') of B's stable submodules, orthogonal under its
+    sheet with complementary dimensions; each A must have one."""
+    space, v = B.space, B.v
+    stacks = {}
+    for S in B.submodules:
+        stacks.setdefault(S.dim, []).append(S.basis_matrix())
+    stacks = {dim: np.stack(bases) for dim, bases in stacks.items()}
+    for A in B.submodules:
+        partners = stacks.get(v - A.dim, space.zeros((0, v - A.dim, v)))
+        AB = space.matmul(A.basis_matrix(), B.pairing)
+        found = int((~space.matmul(partners, AB.T).any(axis=(1, 2))).sum())
+        require(found == 1, f"a stable submodule of dimension {A.dim} "
+                f"has {found} orthogonal partners, not one")
+    return len(B.submodules)
 
 
 def lattice_counts(Q):
     """(m, N) of a quotient: the stable counts of Q and the self-dual
-    count of its double Q_E, both factored over the blocks of Q (only
-    the blocks are doubled)."""
+    count of its double Q_E, both factored over the blocks of Q, which
+    read one stable walk per block (only the blocks where j^2 is not a
+    square are doubled)."""
     return enumerate_stable_submodules(Q), count_selfdual(Q)
 
 

@@ -9,7 +9,9 @@ multiplication by pi and T by jt.  Everything here is exact: Q is cut
 out by a Smith normal form of G, operators are transported through
 the same change of basis, and the counting walk enumerates canonical
 echelon forms, never sampling.  The same walk, given the Hermitian
-form, finds the self-dual lattices on the O_E side.  Both walks step
+form, finds the self-dual lattices on the O_E side of the blocks where
+j^2 is not a square; on the others hermitian pairs the stable walk's
+nodes, which each block keeps (submodules).  Both walks step
 by simple extensions, one line over a residue field k[T]/(g) per
 irreducible factor g of T's minimal polynomial; the quotient builds
 those slices from T with fqpoly's factoring on first use.
@@ -107,13 +109,16 @@ class FiniteQuotient:
     needed (form_sheets).  factors are the distinct monic irreducible
     factors g of T's minimal polynomial, slices the walk slices
     ([g(T)], [T^0, .., T^(deg g - 1)]) in the same order, and blocks
-    the quotients Q_g (just [Q] with one factor); all three are built
-    on first use, so a quotient that is never walked skips them.  A
-    block has no Smith exponents (dexps None).
+    the quotients Q_g (just [Q] with one factor), and submodules a
+    block's stable subspaces, from one walk; all four are built on first
+    use, so a quotient that is never walked skips them, and both counts
+    read one walk of each block.  A block has no Smith exponents (dexps
+    None).
     """
 
     __slots__ = ("v", "space", "P_op", "T_op", "ops", "pairing",
-                 "dexps", "desc", "_factors", "_slices", "_blocks")
+                 "dexps", "desc", "_factors", "_slices", "_blocks",
+                 "_submodules")
 
     def __init__(self, v, space, P_op, T_op, ops, pairing, dexps, desc,
                  factors=None, slices=None):
@@ -128,6 +133,7 @@ class FiniteQuotient:
         self._factors = factors
         self._slices = slices
         self._blocks = None
+        self._submodules = None
 
     @property
     def factors(self):
@@ -149,6 +155,13 @@ class FiniteQuotient:
             self._blocks = (_primary_blocks(self) if len(self.factors) > 1
                             else [self])
         return self._blocks
+
+    @property
+    def submodules(self):
+        if self._submodules is None:
+            self._submodules = walk(self.space, self.v, self.P_op,
+                                    self.ops[1:], self.slices)
+        return self._submodules
 
 
 def quotient_from_gram(G, mults, N, val_delta, desc):
@@ -235,7 +248,10 @@ def _work_budget():
     """Cap on the candidate lines of one walk, and on the naive scan's
     subspace count: ORBITAL_BUDGET, else 4,000,000.  The counts walk
     each block of a quotient on its own, so for them it caps each
-    block's walk."""
+    block's stable walk and, on a block where j^2 is not a square, the
+    walk of its double.  The self-dual count of the other blocks pairs
+    the stable walk's nodes, one product per node, and has no cap of
+    its own."""
     cap = os.environ.get("ORBITAL_BUDGET")
     return int(cap) if cap else 4_000_000
 
@@ -501,11 +517,12 @@ def enumerate_stable_submodules(Q):
     """Counts m_i = #{stable S with dim(Q/S) = i}, i = 0..v.
 
     The polynomial product of the blocks' counts, each block walked on
-    its own under its own work budget."""
+    its own under its own work budget; the walks are kept on the blocks
+    (submodules), where the self-dual count reads them again."""
     m = [1]
     for B in Q.blocks:
         mb = [0] * (B.v + 1)
-        for S in walk(B.space, B.v, B.P_op, B.ops[1:], B.slices):
+        for S in B.submodules:
             mb[B.v - S.dim] += 1
         m = _poly_product(m, mb)
     require(m[0] == 1 and m[Q.v] == 1,

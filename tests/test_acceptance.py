@@ -7,13 +7,17 @@ code with the fast path, the group-version transport, precision
 stability, and the structural invariants every built object must carry.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from conftest import (SWEEP_CONFIGS, SWEEP_COUNT, SWEEP_MAX_VAL,
                       base_precision, build_pipeline, regen_instance, row_m)
 from orbitcount.errors import TargetUnreachable
+from orbitcount.fqpoly import sqrt_mod
 from orbitcount.group_ring import lie_transport
-from orbitcount.hermitian import selfdual_submodules
+from orbitcount.hermitian import (_orthogonal_pairs, build_hermitian_quotient,
+                                  selfdual_submodules)
 from orbitcount.linalg import mat_mul, mat_transpose
 from orbitcount.local_field import TruncSeries, field_desc
 from orbitcount.order_lattices import (form_sheets, stable_submodules,
@@ -155,7 +159,10 @@ def test_fast_counts_match_naive_and_matrix_oracles(sweep_results):
 
 def test_factored_counts_match_whole_space_walk(sweep_results):
     # a quotient with one factor of T is its own block, so only quotients
-    # with two or more take another path than one walk over Q and Q_E
+    # with two or more take another path than one walk over Q for m.
+    # For N no quotient walks Q_E whole: the count walks the doubles of
+    # the blocks where j^2 is not a square and pairs the stable
+    # submodules of the others (test_square_block_pairs_match_double_walk)
     rows, _ = sweep_results
     checked = 0
     for batch in rows.values():
@@ -172,6 +179,56 @@ def test_factored_counts_match_whole_space_walk(sweep_results):
     assert checked >= 400
     print(f"factored counts equal the whole-space walk on {checked} "
           f"multi-factor instances")
+
+
+def _check_square_blocks(Q, seen):
+    """On every block of Q where j^2 is a square modulo its factor, the
+    pair count equals the walk over the block's double; tallies the
+    blocks checked by kind."""
+    desc = Q.desc
+    for B in Q.blocks:
+        g = B.factors[0] if B.factors else None
+        if g is not None and sqrt_mod(desc.jsq, g, B.space.k) is None:
+            continue
+        QE = build_hermitian_quotient(None, desc, None, fq=B)
+        assert _orthogonal_pairs(B) == len(selfdual_submodules(QE))
+        if g is None:
+            seen["empty"] += 1
+        elif desc.is_split:
+            seen["split"] += 1
+        else:
+            seen[f"inert f={len(g) - 1}"] += 1
+
+
+def test_square_block_pairs_match_double_walk(sweep_results):
+    rows, _ = sweep_results
+    seen = Counter()
+    for batch in rows.values():
+        for r in batch:
+            _check_square_blocks(build_pipeline(regen_instance(r))[1], seen)
+    sweep_seen = dict(seen)
+    for q in (3, 5, 9):
+        for ext in ("inert", "split"):
+            desc = field_desc(q, ext)
+            for seed in range(4):
+                for n in (1, 2):
+                    gv = verify_group_identity(
+                        rand_group_instance(n, desc, seed=seed))
+                    _check_square_blocks(gv.quotient, seen)
+                if q != 9:
+                    continue
+                for v in range(5):
+                    try:
+                        ab = rand_invariants(2, desc, v, seed=seed)
+                    except TargetUnreachable:
+                        continue
+                    _check_square_blocks(
+                        verify_count_identity(ab).quotient, seen)
+    assert sweep_seen["split"] >= 1000 and sweep_seen["inert f=2"] >= 100
+    assert seen["split"] > sweep_seen["split"]
+    assert seen["inert f=2"] > sweep_seen["inert f=2"]
+    print(f"pair counts equal the double's walk on square blocks: "
+          f"{sweep_seen} in the sweep, {dict(seen)} with group and q = 9 rows")
 
 
 def test_group_counts_match_lie_transport():

@@ -1,8 +1,13 @@
 """Self-dual counting, its quotient structure, and the slicing helpers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import orbitcount
 from conftest import build_pipeline
 from orbitcount import hermitian
 from orbitcount.errors import BudgetExceeded, TargetUnreachable
@@ -94,29 +99,44 @@ def test_hermitian_sheet_symmetry():
 
 def test_selfdual_budget(monkeypatch):
     """ORBITAL_BUDGET caps each block's walk for the count and the one
-    walk over Q_E for the lister.  This Q has two blocks of dimension
-    1; each doubled block walks 2 candidate lines, the whole Q_E 12."""
+    walk over Q_E for the lister.  On a block where j^2 is a square the
+    count's walk is the block's stable walk, on any other block the walk
+    of its double."""
+    # split, two blocks of dimension 1: each stable walk closes 1 line,
+    # each doubled block would close 2, the whole Q_E closes 12
     ab = rand_invariants(2, field_desc(5, "split"), 2, seed=3)
     Q = build_quotient(build_order(ab), 10)
     QE = build_hermitian_quotient(None, ab.desc, None, fq=Q)
-    monkeypatch.setenv("ORBITAL_BUDGET", "2")
+    monkeypatch.setenv("ORBITAL_BUDGET", "1")
     assert count_selfdual(Q) == 4
     with pytest.raises(BudgetExceeded) as exc:
         selfdual_submodules(QE)
-    assert 2 < exc.value.estimate <= 12
-    monkeypatch.setenv("ORBITAL_BUDGET", "1")
-    with pytest.raises(BudgetExceeded):
-        count_selfdual(Q)
+    assert 1 < exc.value.estimate <= 12
+    monkeypatch.setenv("ORBITAL_BUDGET", "0")
+    with pytest.raises(BudgetExceeded) as exc:
+        count_selfdual(build_quotient(build_order(ab), 10))
+    assert exc.value.estimate == 1
     monkeypatch.setenv("ORBITAL_BUDGET", "12")
     assert len(selfdual_submodules(QE)) == 4
 
+    # inert, one block of degree 1 (not a square): its stable walk
+    # closes 14 lines and the walk of its double 27
+    ab = rand_invariants(2, field_desc(5, "inert"), 4, seed=1)
+    Q = build_quotient(build_order(ab), 10)
+    assert [len(g) - 1 for g in Q.factors] == [1]
+    monkeypatch.setenv("ORBITAL_BUDGET", "14")
+    assert enumerate_stable_submodules(Q) == [1, 1, 6, 1, 1]
+    with pytest.raises(BudgetExceeded) as exc:
+        count_selfdual(Q)
+    assert 14 < exc.value.estimate <= 27
+    monkeypatch.setenv("ORBITAL_BUDGET", "27")
+    assert count_selfdual(Q) == 6
+
 
 def test_selfdual_count_of_quotient_doubles_blocks_only(monkeypatch):
-    """Given Q, count_selfdual builds Q_g + j Q_g per block of Q, never
-    the whole Q_E."""
-    ab = rand_invariants(2, field_desc(5, "split"), 2, seed=3)
-    Q = build_quotient(build_order(ab), 10)
-    QE = build_hermitian_quotient(None, ab.desc, None, fq=Q)
+    """Given Q, count_selfdual doubles to Q_g + j Q_g only the blocks of
+    Q where j^2 is not a square modulo g, never the whole Q_E; the
+    square blocks count pairs of their stable submodules."""
     built = []
     real = hermitian.build_hermitian_quotient
 
@@ -125,9 +145,61 @@ def test_selfdual_count_of_quotient_doubles_blocks_only(monkeypatch):
         return real(*args, fq=fq)
 
     monkeypatch.setattr(hermitian, "build_hermitian_quotient", spy)
+    # split, two blocks of dimension 1: both square
+    ab = rand_invariants(2, field_desc(5, "split"), 2, seed=3)
+    Q = build_quotient(build_order(ab), 10)
     assert lattice_counts(Q) == ([1, 2, 1], 4)
-    assert built == [1, 1]
+    assert built == []
+    QE = build_hermitian_quotient(None, ab.desc, None, fq=Q)
     assert len(selfdual_submodules(QE)) == 4
+
+    # inert, blocks of degree 1 (not a square) and 2 (a square), each
+    # of dimension 2: only the first is doubled
+    del built[:]
+    ab = rand_invariants(3, field_desc(5, "inert"), 4, seed=0)
+    Q = build_quotient(build_order(ab), 10)
+    assert [len(g) - 1 for g in Q.factors] == [1, 2]
+    assert [B.v for B in Q.blocks] == [2, 2]
+    assert lattice_counts(Q) == ([1, 1, 2, 1, 1], 2)
+    assert built == [2]
+    QE = build_hermitian_quotient(None, ab.desc, None, fq=Q)
+    assert len(selfdual_submodules(QE)) == 2
+
+
+# Drops the whole block from its stable walk's nodes before the
+# self-dual count pairs them, so the zero submodule finds no partner;
+# prints __debug__ so the test can tell that -O really stripped asserts.
+DROPPED_NODE = """
+from orbitcount.errors import InvariantViolation
+from orbitcount.hermitian import count_selfdual
+from orbitcount.local_field import field_desc
+from orbitcount.order_lattices import build_order, build_quotient
+from orbitcount.verify import rand_invariants
+
+print(__debug__)
+ab = rand_invariants(2, field_desc(3, "split"), 3, seed=0)
+Q = build_quotient(build_order(ab), 10)
+B = Q.blocks[0]
+B.submodules.remove(next(S for S in B.submodules if S.dim == B.v))
+try:
+    count_selfdual(Q)
+except InvariantViolation as exc:
+    print(exc)
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+@pytest.mark.parametrize("flags,debug", [([], "True"), (["-O"], "False")])
+def test_pair_count_rejects_a_lost_node(flags, debug):
+    src = os.path.dirname(os.path.dirname(orbitcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", DROPPED_NODE],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split("\n")[0] == debug
+    assert "0 orthogonal partners" in proc.stdout
 
 
 def test_random_agreement_with_split_factorization():
@@ -257,8 +329,7 @@ def test_selfdual_walk_needs_one_sheet(case):
     (2, 3, "split", 14, 1), (2, 3, "inert", 14, 0), (2, 3, "inert", 20, 1),
 ])
 def test_selfdual_walk_needs_one_sheet_deep(n, q, ext, v, seed):
-    """The same on the v = 14 and v = 20 rows, block by block as
-    count_selfdual walks them."""
+    """The same on the v = 14 and v = 20 rows, block by block."""
     Q = _pipeline(n, q, ext, v, seed)[0]
     for B in Q.blocks:
         _one_sheet_matches_every_sheet(

@@ -449,7 +449,11 @@ def test_matrix_oracle_rejects_wrong_counts(flags, debug):
 # Rows whose line walks once took seconds; the residue-field walk runs
 # each in well under a second.  Counts are pinned to the line walk's.
 # The v = 14 and v = 20 rows check that no verdict is refused by its
-# dimension alone; each takes under 0.5 s.
+# dimension alone; each verdict takes under 0.5 s.  The split v = 14
+# seed 0 row took 4-8 s while its self-dual count walked Q + j Q; it
+# now pairs the stable walk's 123 nodes, and its split_factor_check,
+# which walks the whole of Q_E (about 7 s), is the independent check
+# on the row where the pair count saves the most.
 @pytest.mark.parametrize("n,q,ext,v,seed,m,N", [
     (4, 5, "inert", 4, 2, [1, 0, 0, 0, 1], 2),
     (2, 9, "split", 6, 700022, [1, 0, 1, 0, 1, 0, 1], 4),
@@ -457,6 +461,8 @@ def test_matrix_oracle_rejects_wrong_counts(flags, debug):
     (2, 3, "split", 14, 1, [1] * 15, 15),
     (2, 3, "inert", 14, 0, [1, 2, 3, 4, 5, 6, 7, 7, 7, 6, 5, 4, 3, 2, 1], 1),
     (2, 3, "inert", 20, 1, [1, 0] * 10 + [1], 11),
+    (2, 3, "split", 14, 0,
+     [1, 1, 4, 7, 10, 13, 16, 19, 16, 13, 10, 7, 4, 1, 1], 123),
 ])
 def test_slow_line_walk_rows(n, q, ext, v, seed, m, N):
     desc = field_desc(q, ext)
@@ -486,10 +492,18 @@ def test_two_factor_v16_rows(seed, m, N):
 
 def test_verdict_budget_counts_lines(monkeypatch):
     """A verdict is refused by the lines its walks would close, not by
-    its dimension.  Unrefused, this v = 14 row's walks close about
-    13,000 lines in several seconds; a budget of 1000 stops it early."""
+    its dimension.  This v = 14 row is one split block: its stable walk
+    closes 201 lines, and its self-dual count pairs that walk's nodes
+    where a walk over Q_E closed about 13,000 lines in several seconds.
+    A budget of 1000 lets it verify with the pinned counts; below the
+    stable walk's lines it is refused."""
     ab = rand_invariants(2, split3, 14, seed=0)
     monkeypatch.setenv("ORBITAL_BUDGET", "1000")
+    vd = verify_count_identity(ab)
+    assert vd.passed
+    assert vd.m == [1, 1, 4, 7, 10, 13, 16, 19, 16, 13, 10, 7, 4, 1, 1]
+    assert vd.N == 123
+    monkeypatch.setenv("ORBITAL_BUDGET", "200")
     with pytest.raises(BudgetExceeded, match="lines") as exc:
         verify_count_identity(ab)
-    assert exc.value.estimate > 1000
+    assert exc.value.estimate > 200

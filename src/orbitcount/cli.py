@@ -19,9 +19,9 @@ import io
 import json
 import sys
 
-from .errors import (BudgetExceeded, GroupConstraintViolated, Indeterminate,
-                     NotStronglyRegular, PrecisionExhausted, SchemaError,
-                     TargetUnreachable)
+from .errors import (BudgetExceeded, GeneratorNotFound, GroupConstraintViolated,
+                     Indeterminate, NotStronglyRegular, PrecisionExhausted,
+                     SchemaError, TargetUnreachable)
 from .local_field import field_desc
 from .verify import (SCHEMA_VERSION, instance_from_obj, instance_to_obj,
                      oracle_checks, rand_group_instance, rand_invariants,
@@ -94,7 +94,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (GroupConstraintViolated, NotStronglyRegular, TargetUnreachable,
-            Indeterminate, PrecisionExhausted) as e:
+            Indeterminate, PrecisionExhausted, GeneratorNotFound) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as e:

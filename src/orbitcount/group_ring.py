@@ -17,7 +17,7 @@ congruence between the transported pair and the group order.
 import random
 
 from .errors import (GeneratorNotFound, GroupConstraintViolated, Indeterminate,
-                     NotStronglyRegular, SchemaError, require)
+                     NotStronglyRegular, require)
 from .hermitian import lattice_counts
 from .invariants import (InvariantPair, char_poly_disc, regular_val,
                          twisted_moments, _vanishes)
@@ -135,11 +135,7 @@ def build_group_order(ab, N):
     n = ab.n
     desc = ab.desc
     k = desc.k
-    for name, arr, offset in (("a", ab.a, 1), ("b", ab.b, 0)):
-        for idx, x in enumerate(arr):
-            if not x.is_integral():
-                raise SchemaError(f"{name}[{idx + offset}]",
-                                  "integrality: valuation is negative")
+    ab.check_integrality()
     an = ab.a[n - 1]
     if an.val() != 0:
         raise GroupConstraintViolated("a_n must be a unit for t to be invertible")
@@ -158,19 +154,18 @@ def build_group_order(ab, N):
     if val_disc is None:
         raise NotStronglyRegular("disc(P_a) is 0")
 
+    # taus[l] = t^(-l), l < n
     tinv = _tinv_poly(ab)
-    # b compatible with theta: sigma(b_l) = b'(t^(-l)) for l < n suffices
-    power = [one] + [EElem.zero(desc)] * (n - 1)
-    for l in range(n):
-        if not ab.b[l].sigma().agrees_with(_bprime(power, ab)):
-            raise GroupConstraintViolated(
-                f"b incompatible with theta: sigma(b_{l}) != b'(t^(-{l}))")
-        power = _poly_mul_mod(power, tinv, ab)
-
-    # theta matrix on the 2n real coordinates (t^l ; j t^l)
     taus = [[one] + [EElem.zero(desc)] * (n - 1)]
     for _ in range(n - 1):
         taus.append(_poly_mul_mod(taus[-1], tinv, ab))
+    # b compatible with theta: sigma(b_l) = b'(t^(-l)) for l < n suffices
+    for l in range(n):
+        if not ab.b[l].sigma().agrees_with(_bprime(taus[l], ab)):
+            raise GroupConstraintViolated(
+                f"b incompatible with theta: sigma(b_{l}) != b'(t^(-{l}))")
+
+    # theta matrix on the 2n real coordinates (t^l ; j t^l)
     Theta = [[TruncSeries.zero(k, N) for _ in range(2 * n)] for _ in range(2 * n)]
     for l in range(n):
         tau = [c.truncated(N) for c in taus[l]]
@@ -237,7 +232,8 @@ def build_group_order(ab, N):
         raise Indeterminate("Gram determinant vanishes at working precision",
                             needed=2 * N)
 
-    gen_poly, T, gen_powers = _find_generator(ab, basis_polys, taus, U, N)
+    gen_poly, T, gen_powers = _find_generator(ab, basis_polys, mult_ops,
+                                              taus, U, N)
     return GroupOrderData(n, ab, gen_poly, T, gen_powers, G, val_delta,
                           val_disc, desc, N)
 
@@ -251,11 +247,15 @@ def _theta_poly(poly, taus, ab):
     return out
 
 
-def _find_generator(ab, basis_polys, taus, U, N):
+def _find_generator(ab, basis_polys, mult_ops, taus, U, N):
     """Element s whose powers span the fixed ring residually.
 
     Tries the theta-average of jt, then basis elements, then two-term
     combinations with small coefficients, then seeded random vectors.
+    A candidate is its w-coordinate vector c: M_s = sum_i c_i mult_ops[i],
+    and the powers of s are M_s^m applied to the coordinates of 1.  The
+    products behind mult_ops were checked to lie in the fixed ring when
+    they were built, so a candidate multiplies nothing in E[t]/P_a.
     Returns (s as a polynomial, multiplication matrix of s, coords of
     powers matrix).
     """
@@ -263,53 +263,49 @@ def _find_generator(ab, basis_polys, taus, U, N):
     k = desc.k
     n = ab.n
     sz = TruncSeries.zero(k, N)
-    j = imaginary_unit(desc)
+    so = TruncSeries.one(k, N)
+    unit = _fixed_coords([EElem.one(desc)], U, desc, N)
 
-    def try_candidate(s_poly):
-        # powers 1, s, ..., s^(n-1) expressed in the w-basis
-        powers = [[EElem.one(desc)] + [EElem.zero(desc)] * (n - 1)]
+    def powers_if_generator(M_s):
+        # columns: w-coordinates of 1, s, ..., s^(n-1)
+        cols = [unit]
         for _ in range(n - 1):
-            powers.append(_poly_mul_mod(powers[-1], s_poly, ab))
-        C = [[None] * n for _ in range(n)]
-        for m, pw in enumerate(powers):
-            col = _fixed_coords(pw, U, desc, N)
-            for i in range(n):
-                C[i][m] = col[i]
-        det = mat_det(C, sz, TruncSeries.one(k, N))
-        if det.val() != 0:
-            return None
-        cols = [_fixed_coords(_poly_mul_mod(s_poly, w, ab), U, desc, N)
-                for w in basis_polys]
-        M_s = [[cols[r][i] for r in range(n)] for i in range(n)]
-        return C, M_s
+            cols.append([sum((M_s[i][r] * cols[-1][r] for r in range(n)), sz)
+                         for i in range(n)])
+        C = [[cols[m][i] for m in range(n)] for i in range(n)]
+        return C if mat_det(C, sz, so).val() == 0 else None
 
-    candidates = []
-    # theta-average of jt: (jt - j t^(-1))/2
-    jt = [EElem.zero(desc), j] + [EElem.zero(desc)] * (n - 2) if n >= 2 else None
-    if jt is not None:
+    if n >= 2:
+        # theta-average of jt: (jt - j t^(-1))/2
+        jt = [EElem.zero(desc), imaginary_unit(desc)] + [EElem.zero(desc)] * (n - 2)
         tj = _theta_poly(jt, taus, ab)
-        inv2 = k.inv[2]
-        avg = [(a + b).scaled(inv2) for a, b in zip(jt, tj)]
-        candidates.append(avg)
-    candidates.extend(basis_polys)
-    small = list(range(min(k.q, 3)))
+        avg = [(a + b).scaled(k.inv[2]) for a, b in zip(jt, tj)]
+        y = _fixed_coords(avg, U, desc, N)
+        M_s = [[sum((y[r] * mult_ops[r][i][l] for r in range(n)), sz)
+                for l in range(n)] for i in range(n)]
+        C = powers_if_generator(M_s)
+        if C is not None:
+            return avg, M_s, C
+    coefs = [[int(r == i) for r in range(n)] for i in range(n)]
     for i in range(n):
         for r in range(i + 1, n):
-            for c in small[1:]:
-                candidates.append([x + y.scaled(c)
-                                   for x, y in zip(basis_polys[i], basis_polys[r])])
+            for c in range(1, min(k.q, 3)):
+                coefs.append([1 if x == i else c if x == r else 0
+                              for x in range(n)])
     rng = random.Random(20240801)
-    for _ in range(64):
-        coef = [rng.randrange(k.q) for _ in range(n)]
-        cand = [EElem.zero(desc)] * n
-        for r, c in enumerate(coef):
-            if c:
-                cand = [x + y.scaled(c) for x, y in zip(cand, basis_polys[r])]
-        candidates.append(cand)
-    for s_poly in candidates:
-        got = try_candidate(s_poly)
-        if got is not None:
-            return s_poly, got[1], got[0]
+    coefs += [[rng.randrange(k.q) for _ in range(n)] for _ in range(64)]
+    for coef in coefs:
+        M_s = [[sum((mult_ops[r][i][l].scaled(c)
+                     for r, c in enumerate(coef) if c), sz)
+                for l in range(n)] for i in range(n)]
+        C = powers_if_generator(M_s)
+        if C is not None:
+            s_poly = [EElem.zero(desc)] * n
+            for r, c in enumerate(coef):
+                if c:
+                    s_poly = [x + y.scaled(c)
+                              for x, y in zip(s_poly, basis_polys[r])]
+            return s_poly, M_s, C
     raise GeneratorNotFound(
         "no residual generator found within the attempt cap")
 

@@ -123,6 +123,15 @@ class InvariantPair:
                         f"parity: sigma must act by (-1)^{sub}")
         return self
 
+    def check_integrality(self):
+        """validate without parity, which group pairs do not satisfy."""
+        for name, arr, offset in (("a", self.a, 1), ("b", self.b, 0)):
+            for idx, x in enumerate(arr):
+                if not x.is_integral():
+                    raise SchemaError(f"{name}[{idx + offset}]",
+                                      "integrality: valuation is negative")
+        return self
+
     def prec(self):
         """Shared working precision: None when every entry is exact."""
         best = None

@@ -660,11 +660,7 @@ def instance_from_obj(obj):
     if mode == "lie":
         ab.validate()
     else:
-        for name, arr, offset in (("a", ab.a, 1), ("b", ab.b, 0)):
-            for idx, x in enumerate(arr):
-                if not x.is_integral():
-                    raise SchemaError(f"{name}[{idx + offset}]",
-                                      "integrality: valuation is negative")
+        ab.check_integrality()
     return ab, mode
 
 

@@ -2,7 +2,8 @@
 
 import json
 
-from orbitcount import cli
+from orbitcount import cli, group_ring
+from orbitcount.errors import GeneratorNotFound
 from orbitcount.invariants import InvariantPair
 from orbitcount.local_field import EElem, field_desc
 from orbitcount.verify import instance_to_obj
@@ -229,3 +230,20 @@ def test_identity_failure_exit_code(tmp_path, capsys, monkeypatch):
     rc = cli.main(["verify", str(inst)])
     assert rc == 1
     assert json.loads(capsys.readouterr().out) == {"pass": False}
+
+
+def test_generator_not_found_exit_code(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "g.json"
+    cli.main(["gen", "--n", "2", "--q", "3", "--ext", "inert",
+              "--mode", "group", "--seed", "1", "--out", str(inst)])
+    capsys.readouterr()
+
+    def exhausted(*args):
+        raise GeneratorNotFound("no residual generator found")
+
+    monkeypatch.setattr(group_ring, "_find_generator", exhausted)
+    for command in ("verify", "oracle"):
+        rc = cli.main([command, str(inst)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no residual generator found"), err

@@ -1,22 +1,27 @@
 """Multiplicative orders: constraints, counting, and the transport map."""
 
+import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import orbitcount
-from orbitcount.errors import (GroupConstraintViolated, NotStronglyRegular,
-                               SchemaError)
+from orbitcount import group_ring
+from orbitcount.errors import (GeneratorNotFound, GroupConstraintViolated,
+                               NotStronglyRegular, SchemaError)
 from orbitcount.group_ring import build_group_order, lie_transport
 from orbitcount.hermitian import build_hermitian_quotient, selfdual_submodules
 from orbitcount.invariants import InvariantPair
 from orbitcount.local_field import (EElem, TruncSeries, field_desc,
                                     imaginary_unit)
 from orbitcount.order_lattices import stable_submodules
-from orbitcount.verify import (_norm_one_constants, rand_group_instance,
-                               verify_count_identity, verify_group_identity)
+from orbitcount.verify import (_norm_one_constants, auto_precision,
+                               instance_from_obj, instance_to_obj,
+                               rand_group_instance, verify_count_identity,
+                               verify_group_identity)
 
 inert3 = field_desc(3, "inert")
 split3 = field_desc(3, "split")
@@ -124,8 +129,92 @@ def test_rejects_repeated_roots():
 def test_rejects_nonintegral_entries():
     g = _norm_one_constants(inert3)[1]
     bad = EElem.from_real(inert3, TruncSeries.pi_pow(inert3.k, -1))
-    with pytest.raises(SchemaError, match=r"b\[0\]"):
-        build_group_order(InvariantPair([g], [bad], inert3), 8)
+    ab = InvariantPair([g], [bad], inert3)
+    # the order build and the instance parser share one check
+    with pytest.raises(SchemaError, match=r"b\[0\]: integrality"):
+        build_group_order(ab, 8)
+    with pytest.raises(SchemaError, match=r"b\[0\]: integrality"):
+        instance_from_obj(instance_to_obj(ab, mode="group"))
+
+
+def _series_obj(x):
+    if isinstance(x, EElem):
+        return [_series_obj(x.re), _series_obj(x.im)]
+    return [x.shift, list(x.coeffs), x.prec]
+
+
+def test_group_orders_pinned():
+    """gen_poly, T and gen_powers of sampled group orders at
+    auto_precision, recorded when the generator search multiplied every
+    candidate out as a polynomial in t.  A series is (shift, coeffs,
+    prec); an element of E is its (re, im) pair."""
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "group_orders.json")
+    with open(path) as fh:
+        pinned = json.load(fh)
+    assert len(pinned) == 96
+    for rec in pinned:
+        n, q, ext, seed = rec["case"]
+        order = build_group_order(
+            rand_group_instance(n, field_desc(q, ext), seed=seed),
+            auto_precision(n))
+        got = {"gen_poly": [_series_obj(c) for c in order.gen_poly],
+               "T": [[_series_obj(c) for c in row] for row in order.T],
+               "gen_powers": [[_series_obj(c) for c in row]
+                              for row in order.gen_powers]}
+        assert got == {key: rec[key] for key in got}, rec["case"]
+
+
+@pytest.mark.parametrize("n,tries", [(1, 65), (2, 69)])
+def test_generator_search_order_and_cap(monkeypatch, n, tries):
+    # no candidate's power matrix has a unit determinant: the search
+    # tries the theta-average of jt (n >= 2), the basis, the pairs
+    # w_0 + c w_1 with c < min(q, 3), and 64 seeded draws, then gives up
+    desc = field_desc(5, "inert")
+    N = auto_precision(n)
+    ab = rand_group_instance(n, desc, seed=0)
+    det = group_ring.mat_det
+    seen = []
+
+    def no_unit(M, zero, one):
+        seen.append(M)
+        if len(seen) == 1:
+            return det(M, zero, one)  # the Gram determinant
+        return TruncSeries.pi_pow(desc.k, 1, N)
+
+    monkeypatch.setattr(group_ring, "mat_det", no_unit)
+    with pytest.raises(GeneratorNotFound, match="attempt cap"):
+        build_group_order(ab, N)
+    tried = seen[1:]
+    assert len(tried) == tries
+    if n == 2:
+        # column 1 of a power matrix holds the candidate's w-coordinates
+        rng = random.Random(20240801)
+        want = [[1, 0], [0, 1], [1, 1], [1, 2]]
+        want += [[rng.randrange(5) for _ in range(2)] for _ in range(64)]
+        for C, coef in zip(tried[1:], want):
+            assert all(C[i][1].agrees_with(TruncSeries.const(desc.k, c, N))
+                       for i, c in enumerate(coef)), coef
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_group_order_poly_products_bounded(monkeypatch, n):
+    # t^(-l) for 0 < l < n and the n^2 products w_i w_r; the generator
+    # search reads mult_ops and multiplies no polynomial
+    calls = [0]
+    mul = group_ring._poly_mul_mod
+
+    def counted(p, q, ab):
+        calls[0] += 1
+        return mul(p, q, ab)
+
+    monkeypatch.setattr(group_ring, "_poly_mul_mod", counted)
+    for desc in (inert3, split3, field_desc(5, "inert")):
+        for seed in range(3):
+            ab = rand_group_instance(n, desc, seed=seed)
+            calls[0] = 0
+            build_group_order(ab, auto_precision(n))
+            assert calls[0] <= n - 1 + n * n
 
 
 # a unit added to one Gram entry breaks the transport's Gram congruence

@@ -122,6 +122,7 @@ def _write_text(path, text):
 
 
 def _cmd_verify(args):
+    _positive(args, "precision")
     ab, mode = _load_instance(args.instance)
     if mode == "group":
         verdict = verify_group_identity(ab, precision=args.precision)
@@ -132,9 +133,20 @@ def _cmd_verify(args):
 
 
 def _positive(args, *names):
+    """SchemaError unless each named option, when given, is at least 1."""
     for name in names:
-        if getattr(args, name) < 1:
+        value = getattr(args, name)
+        if value is not None and value < 1:
             raise SchemaError(name, "expected a positive integer")
+
+
+def _nonnegative(args, *names):
+    """SchemaError unless each named option, when given, is at least 0."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise SchemaError(name.replace("_", "-"),
+                              "expected a nonnegative integer")
 
 
 def _cell(x):
@@ -161,11 +173,8 @@ def _rows_to_csv(rows, max_val):
 
 
 def _cmd_sweep(args):
-    _positive(args, "n", "count")
-    if args.max_val < 0:
-        raise SchemaError("max-val", "expected a nonnegative integer")
-    if args.jobs < 1:
-        raise SchemaError("jobs", "expected a positive integer")
+    _positive(args, "n", "count", "jobs", "precision")
+    _nonnegative(args, "max_val")
     field_desc(args.q, args.ext)
     rows = sweep(args.n, args.q, args.ext, args.max_val, args.count,
                  args.seed, precision=args.precision, jobs=args.jobs)
@@ -176,6 +185,7 @@ def _cmd_sweep(args):
 
 def _cmd_gen(args):
     _positive(args, "n")
+    _nonnegative(args, "target_val")
     desc = field_desc(args.q, args.ext)
     if args.mode == "group":
         if args.family != "generic" or args.target_val is not None:
@@ -191,6 +201,7 @@ def _cmd_gen(args):
 
 
 def _cmd_oracle(args):
+    _positive(args, "precision")
     ab, mode = _load_instance(args.instance)
     ok, lines = oracle_checks(ab, mode, precision=args.precision)
     print("\n".join(lines))

@@ -22,10 +22,6 @@ class PrecisionExhausted(OrbitCountError):
         self.needed = needed
 
 
-class EtaUndefined(OrbitCountError):
-    """The quadratic character was asked of an element indistinguishable from 0."""
-
-
 class NotStronglyRegular(OrbitCountError):
     """Invariants fail strong regularity (vanishing discriminant or pairing determinant)."""
 

@@ -36,8 +36,7 @@ class GFTable:
 
     Attributes add/mul are q x q nested tuples, neg/inv are q-tuples
     (inv[0] = 0 as a sentinel, never a valid inverse).  The numpy mirrors
-    np_add etc. support vectorized use.  ``prime`` flags q = p, where
-    callers may use plain integer arithmetic mod p instead.
+    np_add etc. support vectorized use.
     """
 
     def __init__(self, p, m):
@@ -48,7 +47,6 @@ class GFTable:
         self.p = p
         self.m = m
         self.q = q = p ** m
-        self.prime = m == 1
         if m == 1:
             # F_p's own tables: the general case below needs them
             self.modulus = [0, 1]
@@ -90,7 +88,6 @@ class GFTable:
         self.np_sub = np.array(self.sub, dtype=np.int64)
         self.np_mul = np.array(self.mul, dtype=np.int64)
         self.np_neg = np.array(self.neg, dtype=np.int64)
-        self.np_inv = np.array(self.inv, dtype=np.int64)
 
     def digits(self, e):
         out = []

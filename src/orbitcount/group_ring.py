@@ -40,9 +40,9 @@ class GroupOrderData(OrderData):
 
     __slots__ = ("ab", "gen_poly", "gen_powers", "N")
 
-    def __init__(self, n, ab, gen_poly, T, gen_powers, G, val_delta,
-                 val_disc, desc, N):
-        super().__init__(n, T, G, val_delta, val_disc, desc)
+    def __init__(self, n, ab, gen_poly, T, gen_powers, G, val_delta, desc,
+                 N):
+        super().__init__(n, T, G, val_delta, desc)
         self.ab = ab
         self.gen_poly = gen_poly
         self.gen_powers = gen_powers
@@ -150,8 +150,7 @@ def build_group_order(ab, N):
     if not (an * an.sigma()).agrees_with(one):
         raise GroupConstraintViolated("Nm(a_n) must be 1")
 
-    val_disc = regular_val(char_poly_disc(ab), ab, "disc(P_a)")
-    if val_disc is None:
+    if regular_val(char_poly_disc(ab), ab, "disc(P_a)") is None:
         raise NotStronglyRegular("disc(P_a) is 0")
 
     # taus[l] = t^(-l), l < n
@@ -229,13 +228,12 @@ def build_group_order(ab, N):
     if val_delta is None:
         if detG.is_zero():
             raise NotStronglyRegular("Gram determinant of the fixed ring vanishes")
-        raise Indeterminate("Gram determinant vanishes at working precision",
-                            needed=2 * N)
+        raise Indeterminate("Gram determinant vanishes at working precision")
 
     gen_poly, T, gen_powers = _find_generator(ab, basis_polys, mult_ops,
                                               taus, U, N)
-    return GroupOrderData(n, ab, gen_poly, T, gen_powers, G, val_delta,
-                          val_disc, desc, N)
+    return GroupOrderData(n, ab, gen_poly, T, gen_powers, G, val_delta, desc,
+                          N)
 
 
 def _theta_poly(poly, taus, ab):

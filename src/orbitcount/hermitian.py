@@ -78,16 +78,15 @@ class HermQuotient:
     slices are built on first use.
     """
 
-    __slots__ = ("v", "dim", "space", "P_op", "T_op", "J_op", "ops",
-                 "herm_re", "herm_im", "desc", "base", "_slices")
+    __slots__ = ("v", "dim", "space", "P_op", "J_op", "ops", "herm_re",
+                 "herm_im", "desc", "base", "_slices")
 
-    def __init__(self, v, space, P_op, T_op, J_op, ops, herm_re, herm_im,
-                 desc, base):
+    def __init__(self, v, space, P_op, J_op, ops, herm_re, herm_im, desc,
+                 base):
         self.v = v
         self.dim = 2 * v
         self.space = space
         self.P_op = P_op
-        self.T_op = T_op
         self.J_op = J_op
         self.ops = ops
         self.herm_re = herm_re
@@ -126,7 +125,6 @@ def build_hermitian_quotient(order, desc, N, fq=None):
     zero = space.zeros((v, v))
     lifted = [_lift(space, M, v) for M in Q.ops]
     P2 = lifted[0]
-    T2 = _lift(space, Q.T_op, v)
     eye = space.arr(np.eye(v, dtype=np.int64))
     J2 = _block2(space, zero, space.mul(eye, d), eye, zero, v)
     B = Q.pairing
@@ -151,8 +149,8 @@ def build_hermitian_quotient(order, desc, N, fq=None):
                 "Hermitian form is not equivariant")
     require(space.rank(np.concatenate([herm_re, herm_im])) == 2 * v,
             "Hermitian form is not perfect")
-    return HermQuotient(v, space, P2, T2, J2, lifted + [J2], herm_re, herm_im,
-                        desc, Q)
+    return HermQuotient(v, space, P2, J2, lifted + [J2], herm_re, herm_im, desc,
+                        Q)
 
 
 def _hermitian_slices(QE):

@@ -29,8 +29,7 @@ serves the tests as the reference for the real forms.
 from .errors import (Indeterminate, NotStronglyRegular, SchemaError,
                      is_json_int, require)
 from .linalg import char_coeffs, mat_det
-from .local_field import (EElem, TruncSeries, eelem_from_obj, eelem_to_obj,
-                          eta)
+from .local_field import EElem, TruncSeries, eelem_from_obj
 
 
 def _vanishes(series):
@@ -73,12 +72,6 @@ class MatrixE:
         one = EElem.one(self.desc)
         zero = EElem.zero(self.desc)
         return [zero] * (self.n - 1) + [one]
-
-    def sigma(self):
-        return MatrixE([[e.sigma() for e in row] for row in self.entries], self.desc)
-
-    def transpose(self):
-        return MatrixE([list(col) for col in zip(*self.entries)], self.desc)
 
     def is_integral(self):
         return all(e.is_integral() for row in self.entries for e in row)
@@ -147,13 +140,6 @@ class InvariantPair:
             [x.truncated(N) for x in self.b],
             self.desc)
 
-    def to_obj(self):
-        return {
-            "n": self.n,
-            "a": [eelem_to_obj(x) for x in self.a],
-            "b": [eelem_to_obj(x) for x in self.b],
-        }
-
     @classmethod
     def from_obj(cls, obj, desc, field="invariants"):
         if not isinstance(obj, dict):
@@ -174,29 +160,26 @@ class InvariantPair:
 
 
 class RegularityReport:
-    """Valuations of disc(P_a) and Delta, with Delta itself for reuse.
+    """Valuations of disc(P_a) and Delta.
 
     For a parity-correct pair, alpha holds the real forms j^i a_i and
     moments the twisted moments r_m = j^m b'(t^m), m = 0..2n-2; both
     are None for pairs read over E.
     """
 
-    __slots__ = ("val_disc", "val_delta", "strongly_regular", "eta_delta",
-                 "delta", "alpha", "moments")
+    __slots__ = ("val_disc", "val_delta", "strongly_regular", "alpha",
+                 "moments")
 
-    def __init__(self, val_disc, val_delta, strongly_regular, eta_delta, delta,
-                 alpha, moments):
+    def __init__(self, val_disc, val_delta, alpha, moments):
         self.val_disc = val_disc
         self.val_delta = val_delta
-        self.strongly_regular = strongly_regular
-        self.eta_delta = eta_delta
-        self.delta = delta
+        self.strongly_regular = val_disc is not None and val_delta is not None
         self.alpha = alpha
         self.moments = moments
 
     def __repr__(self):
         return (f"RegularityReport(val_disc={self.val_disc}, val_delta={self.val_delta}, "
-                f"strongly_regular={self.strongly_regular}, eta_delta={self.eta_delta})")
+                f"strongly_regular={self.strongly_regular})")
 
 
 def char_poly_coeffs(A):
@@ -437,12 +420,8 @@ def strong_regularity(ab):
     delta, moments = _delta(ab, forms)
     val_disc = regular_val(_disc(ab, forms), ab, "disc(P_a)")
     val_delta = regular_val(delta, ab, "Delta")
-    alpha = forms[0] if forms else None
-    if val_disc is None or val_delta is None:
-        return RegularityReport(val_disc, val_delta, False, None, delta,
-                                alpha, moments)
-    return RegularityReport(val_disc, val_delta, True, eta(delta, ab.desc),
-                            delta, alpha, moments)
+    return RegularityReport(val_disc, val_delta, forms[0] if forms else None,
+                            moments)
 
 
 def char_poly_disc(ab):

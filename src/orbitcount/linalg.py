@@ -111,7 +111,7 @@ def smith_normal_form(M, N, allow_zero_block=False):
             if allow_zero_block:
                 break
             raise PrecisionExhausted(
-                f"elementary divisor block vanishes at precision {N}", needed=2 * N)
+                f"elementary divisor block vanishes at precision {N}")
         dv, i0, j0 = best
         if i0 != r:
             work[r], work[i0] = work[i0], work[r]

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import (EtaUndefined, NotAUnit, PrecisionExhausted, SchemaError,
-                     is_json_int)
+from .errors import NotAUnit, PrecisionExhausted, SchemaError, is_json_int
 from .gf import gf_by_order, gf_table
 
 SPLIT = "split"
@@ -160,10 +159,6 @@ class TruncSeries:
         prec = None if self.prec is None else self.prec + e
         return TruncSeries(self.k, self.coeffs, self.shift + e, prec)
 
-    def is_integral(self):
-        v = self.val()
-        return v is None or v >= 0
-
     # -- ring ops ----------------------------------------------------
 
     def _join_prec(self, other):
@@ -251,13 +246,13 @@ class TruncSeries:
         return TruncSeries(self.k, tuple(row[a] for a in self.coeffs),
                            self.shift, self.prec)
 
-    def inv(self, prec=None, laurent=False):
-        """Multiplicative inverse.
+    def inv(self, laurent=False):
+        """Multiplicative inverse, known to the digits the input allows.
 
         A unit (val 0) inverts directly; positive or negative valuation
         requires ``laurent=True`` and inverts pi^v * u as pi^(-v) * u^(-1).
-        Exact inputs need ``prec`` unless they are monomials (whose inverse
-        is again exact).
+        An exact input inverts only when it is a monomial, whose inverse
+        is again exact; truncate any other first.
         """
         v = self.val()
         if v is None:
@@ -268,15 +263,11 @@ class TruncSeries:
             raise NotAUnit(f"valuation {v} element inverted outside Laurent mode")
         if self.is_exact and len(self.coeffs) == 1:
             return TruncSeries(self.k, (self.k.inv[self.coeffs[0]],), -v, None)
-        # rel = digits of the unit part we can produce; result prec = rel - v
         if self.is_exact:
-            if prec is None:
-                raise ValueError("inverting a non-monomial exact series needs a precision")
-            rel = prec + v
-        else:
-            rel = self.prec - v
-            if prec is not None:
-                rel = min(rel, prec + v)
+            raise ValueError("an exact series inverts only as a monomial; "
+                             "truncate it first")
+        # rel = digits of the unit part we can produce; result prec = rel - v
+        rel = self.prec - v
         if rel <= 0:
             raise PrecisionExhausted("no significant digits available for inversion")
         add, mul, kinv, neg = self.k.add, self.k.mul, self.k.inv, self.k.neg
@@ -371,14 +362,6 @@ class EElem:
         """Galois involution: frobenius on coefficients (inert), swap (split)."""
         return EElem(self.desc, self.re, -self.im)
 
-    def is_real(self):
-        return self.im.is_zero()
-
-    def real_series(self):
-        if not self.is_real():
-            raise ValueError("element has a nonzero imaginary part")
-        return self.re
-
     def val(self):
         """min of the component valuations; None when 0 at working precision.
 
@@ -394,9 +377,6 @@ class EElem:
     def is_integral(self):
         v = self.val()
         return v is None or v >= 0
-
-    def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
 
     @property
     def prec(self):
@@ -440,14 +420,14 @@ class EElem:
         """x * sigma(x) as a real series."""
         return self.re * self.re - (self.im * self.im).scaled(self.desc.jsq)
 
-    def inv(self, prec=None, laurent=False):
-        """sigma(x) / norm(x); same unit and Laurent rules as TruncSeries.inv."""
+    def inv(self):
+        """sigma(x) / norm(x), for a unit x (see TruncSeries.inv)."""
         nm = self.norm()
         if nm.is_zero():
             if nm.is_exact:
                 raise NotAUnit("zero divisor (norm is exactly 0)")
             raise PrecisionExhausted("norm is 0 at working precision")
-        ninv = nm.inv(prec=prec, laurent=laurent)
+        ninv = nm.inv()
         s = self.sigma()
         return EElem(self.desc, s.re * ninv, s.im * ninv)
 
@@ -484,24 +464,13 @@ def j_power(desc, i, x):
     return EElem(desc, y, z) if i % 2 == 0 else EElem(desc, z, y)
 
 
-def eta(x, desc=None):
-    """Quadratic character of F^x attached to E/F.
+def eta(v, desc):
+    """Quadratic character of E/F at an element of F of valuation v.
 
-    Split extensions are norms everywhere: eta = +1.  Inert: eta(x) =
-    (-1)^val(x) since every residue unit is a norm from the unramified
-    extension.  Raises EtaUndefined when the valuation cannot be read off.
+    Split extensions are norms everywhere: eta = +1.  Inert: (-1)^v,
+    since every residue unit is a norm from the unramified extension.
     """
-    if isinstance(x, EElem):
-        desc = x.desc
-        x = x.real_series()
-    if desc is None:
-        raise ValueError("eta of a series needs its field description")
-    v = x.val()
-    if v is None:
-        raise EtaUndefined("element is 0 at working precision; eta needs its valuation")
-    if desc.is_split:
-        return 1
-    return -1 if v % 2 else 1
+    return 1 if desc.is_split or v % 2 == 0 else -1
 
 
 # -- serialization ---------------------------------------------------

@@ -39,20 +39,19 @@ from .fqpoly import irreducible_factors
 from .invariants import strong_regularity
 from .kspace import EchelonBasis, KSpace
 from .linalg import mat_mul, mat_transpose, smith_normal_form
-from .local_field import TruncSeries
+from .local_field import TruncSeries, eta
 
 
 class OrderData:
     """Multiplication and Gram matrices of the order in the u-basis."""
 
-    __slots__ = ("n", "T", "G", "val_delta", "val_disc", "desc")
+    __slots__ = ("n", "T", "G", "val_delta", "desc")
 
-    def __init__(self, n, T, G, val_delta, val_disc, desc):
+    def __init__(self, n, T, G, val_delta, desc):
         self.n = n
         self.T = T
         self.G = G
         self.val_delta = val_delta
-        self.val_disc = val_disc
         self.desc = desc
 
 
@@ -94,7 +93,7 @@ def build_order(ab):
     require(all(GT[i][l].agrees_with(TtG[i][l])
                 for i in range(n) for l in range(n)),
             "T is not self-adjoint for the Gram pairing")
-    return OrderData(n, T, G, report.val_delta, report.val_disc, ab.desc)
+    return OrderData(n, T, G, report.val_delta, ab.desc)
 
 
 class FiniteQuotient:
@@ -112,15 +111,13 @@ class FiniteQuotient:
     the quotients Q_g (just [Q] with one factor), and submodules a
     block's stable subspaces, from one walk; all four are built on first
     use, so a quotient that is never walked skips them, and both counts
-    read one walk of each block.  A block has no Smith exponents (dexps
-    None).
+    read one walk of each block.
     """
 
-    __slots__ = ("v", "space", "P_op", "T_op", "ops", "pairing",
-                 "dexps", "desc", "_factors", "_slices", "_blocks",
-                 "_submodules")
+    __slots__ = ("v", "space", "P_op", "T_op", "ops", "pairing", "desc",
+                 "_factors", "_slices", "_blocks", "_submodules")
 
-    def __init__(self, v, space, P_op, T_op, ops, pairing, dexps, desc,
+    def __init__(self, v, space, P_op, T_op, ops, pairing, desc,
                  factors=None, slices=None):
         self.v = v
         self.space = space
@@ -128,26 +125,26 @@ class FiniteQuotient:
         self.T_op = T_op
         self.ops = ops
         self.pairing = pairing
-        self.dexps = dexps
         self.desc = desc
         self._factors = factors
         self._slices = slices
         self._blocks = None
         self._submodules = None
 
-    @property
-    def factors(self):
+    def _residues(self):
+        """(factors, slices), from one _residue_slices call on first use."""
         if self._factors is None:
             self._factors, self._slices = _residue_slices(self.space,
                                                           self.T_op)
-        return self._factors
+        return self._factors, self._slices
+
+    @property
+    def factors(self):
+        return self._residues()[0]
 
     @property
     def slices(self):
-        if self._slices is None:
-            self._factors, self._slices = _residue_slices(self.space,
-                                                          self.T_op)
-        return self._slices
+        return self._residues()[1]
 
     @property
     def blocks(self):
@@ -237,7 +234,7 @@ def quotient_from_gram(G, mults, N, val_delta, desc):
                 "torsion pairing is not equivariant")
     require(space.rank(pairing) == v, "torsion pairing is not perfect")
     T_op = fq_ops[0] if fq_ops else space.zeros((v, v))
-    return FiniteQuotient(v, space, P_op, T_op, ops, pairing, dexps, desc)
+    return FiniteQuotient(v, space, P_op, T_op, ops, pairing, desc)
 
 
 def build_quotient(order, N):
@@ -458,7 +455,7 @@ def _primary_blocks(Q):
                 "a block of Q sees more than its own factor of T")
         blocks.append(FiniteQuotient(
             d, space, ops[0][s, s], Tg, [M[s, s] for M in ops], form[s, s],
-            None, Q.desc, [g], [_factor_slice(space, g, Tg)]))
+            Q.desc, [g], [_factor_slice(space, g, Tg)]))
     return blocks
 
 
@@ -569,6 +566,4 @@ def form_sheets(space, H, P, count):
 
 def signed_sum(m, desc):
     """Sum of eta(pi)^i m_i: alternating when inert, plain when split."""
-    if desc.is_split:
-        return sum(m)
-    return sum(c if i % 2 == 0 else -c for i, c in enumerate(m))
+    return sum(eta(i, desc) * c for i, c in enumerate(m))

@@ -27,7 +27,7 @@ from .invariants import (InvariantPair, MatrixE, char_poly_disc,
                          v_invariant)
 from .kspace import (KSpace, batch_form_vanishes, batch_stable_mask,
                      gaussian_binomial, iter_rref_bases)
-from .local_field import (EElem, TruncSeries, eelem_to_obj, field_desc,
+from .local_field import (EElem, TruncSeries, eelem_to_obj, eta, field_desc,
                           j_power)
 from .order_lattices import (_work_budget, build_order, build_quotient,
                              form_sheets, signed_sum, walk)
@@ -103,12 +103,6 @@ def auto_precision(n):
     return 2 * n + 4
 
 
-def _eta_of_val(v, desc):
-    if desc.is_split:
-        return 1
-    return 1 if v % 2 == 0 else -1
-
-
 def escalate_precision(build, precision):
     """(build(N), N) for the first working precision N that resolves.
 
@@ -149,7 +143,7 @@ def _verdict(ab, mode, count, precision, t0):
             flags.append("nonunit_b0")
     v = order.val_delta
     wall = int((time.monotonic() - t0) * 1000)
-    return Verdict(n, desc.q, desc.ext, mode, v, _eta_of_val(v, desc),
+    return Verdict(n, desc.q, desc.ext, mode, v, eta(v, desc),
                    m, signed_sum(m, desc), Ncnt, flags, N, wall, order, Q)
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from orbitcount import cli, group_ring
 from orbitcount.errors import GeneratorNotFound
 from orbitcount.invariants import InvariantPair
@@ -191,6 +193,35 @@ def test_sweep_rejects_negative_max_val(capsys):
                    "--max-val", "-1", "--count", "1", "--seed", "0"])
     assert rc == 2
     assert "max-val" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle", "sweep"])
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_rejects_nonpositive_precision(tmp_path, capsys, command, precision):
+    # an instance file's precision field rejects these values too
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "--n", "1", "--q", "3", "--ext", "inert",
+              "--target-val", "2", "--out", str(inst)])
+    args = ([command, str(inst)] if command != "sweep" else
+            ["sweep", "--n", "1", "--q", "3", "--ext", "inert", "--max-val",
+             "2", "--count", "1", "--seed", "0"])
+    capsys.readouterr()
+    assert cli.main(args + ["--precision", precision]) == 2
+    captured = capsys.readouterr()
+    assert "precision: expected a positive integer" in captured.err
+    assert captured.out == ""
+
+
+def test_gen_rejects_negative_target_before_drawing(capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr(cli, "rand_invariants",
+                        lambda *a, **kw: draws.append(a))
+    rc = cli.main(["gen", "--n", "1", "--q", "3", "--ext", "inert",
+                   "--target-val", "-1"])
+    assert rc == 2
+    assert "target-val: expected a nonnegative integer" in (
+        capsys.readouterr().err)
+    assert draws == []
 
 
 def test_usage_and_help(capsys):

@@ -357,7 +357,7 @@ def test_slices_split_each_factor_kernel(case):
             assert mulmod(r, r, g, sp.k) == [d] + [0] * (f - 1)
             mine = QE.slices[at:at + 2]
         at += len(mine)
-        gT = _poly_apply(sp, g, QE.T_op)
+        gT = _poly_apply(sp, g, QE.ops[1])
         kernel = QE.dim - sp.rank(gT)
         assert sum(QE.dim - sp.rank(np.concatenate(cuts + [gT], axis=0))
                    for cuts, _ in mine) == kernel

@@ -13,7 +13,8 @@ from orbitcount.errors import (BudgetExceeded, NotStronglyRegular,
                                PrecisionExhausted, TargetUnreachable)
 from orbitcount.gf import gf_by_order
 from orbitcount.hermitian import build_hermitian_quotient, count_selfdual
-from orbitcount.invariants import InvariantPair, moment_sequence
+from orbitcount.invariants import (InvariantPair, moment_sequence,
+                                  strong_regularity)
 from orbitcount.kspace import (EchelonBasis, KSpace, batch_stable_mask,
                                iter_rref_bases)
 from orbitcount.linalg import (mat_det, mat_mul, mat_transpose,
@@ -53,11 +54,13 @@ def _naive_m(Q):
 
 
 def test_cyclic_chain_quotient():
-    o = build_order(_pi_pair(inert3, 2, prec=10))
-    assert o.val_delta == 2 and o.val_disc == 0
+    ab = _pi_pair(inert3, 2, prec=10)
+    assert strong_regularity(ab).val_disc == 0
+    o = build_order(ab)
+    assert o.val_delta == 2
     Q = build_quotient(o, 10)
     assert Q.v == 2
-    assert Q.dexps == [2]
+    assert smith_normal_form(o.G, 10)[3] == [2]
     assert np.array_equal(Q.P_op, np.array([[0, 0], [1, 0]]))
     assert not Q.T_op.any()
     m = enumerate_stable_submodules(Q)
@@ -399,8 +402,7 @@ ops, pairing = list(Q.ops), Q.pairing.copy()
 """
 
 _COUNT_BAD = """
-bad = FiniteQuotient(Q.v, Q.space, Q.P_op, Q.T_op, ops, pairing, Q.dexps,
-                     Q.desc)
+bad = FiniteQuotient(Q.v, Q.space, Q.P_op, Q.T_op, ops, pairing, Q.desc)
 try:
     enumerate_stable_submodules(bad)
 except InvariantViolation as exc:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -326,6 +327,53 @@ def test_sweep_deterministic():
         assert set(r) >= {"seed", "n", "q", "ext", "v", "eta_delta",
                           "signed_sum", "N", "pass", "wall_ms", "m_0"}
         assert all(f"m_{i}" in r for i in range(r["v"] + 1))
+
+
+_PINNED_SWEEPS = ([(n, q, ext, 6, 12) for n in (1, 2) for q in (3, 5, 9)
+                   for ext in ("split", "inert")]
+                  + [(3, 5, ext, 4, 8) for ext in ("split", "inert")])
+
+
+def _pinned_verdicts():
+    """Sweep rows (seed 1) and group verdicts as tests/data/verdicts.json
+    holds them: wall_ms dropped, one record per row.  A sweep row does
+    not show the precision its verdict landed at, so the record adds it,
+    from the row's instance drawn again.  The group cases are those of
+    tests/data/group_orders.json."""
+    records = []
+    for n, q, ext, max_val, count in _PINNED_SWEEPS:
+        for row in sweep(n, q, ext, max_val, count, 1):
+            del row["wall_ms"]
+            target = random.Random(f"target:{row['seed']}").randint(
+                0, max_val)
+            ab = rand_invariants(n, field_desc(q, ext), target,
+                                 seed=row["seed"])
+            records.append({"sweep": row, "precision":
+                            verify_count_identity(ab).precision})
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "group_orders.json")
+    with open(path) as fh:
+        cases = [rec["case"] for rec in json.load(fh)]
+    for n, q, ext, seed in cases:
+        obj = verify_group_identity(
+            rand_group_instance(n, field_desc(q, ext), seed=seed)).to_obj()
+        del obj["wall_ms"]
+        records.append({"case": [n, q, ext, seed], "group": obj})
+    return records
+
+
+def test_verdicts_pinned():
+    """Sweep rows and group verdicts, minus wall_ms, recorded before the
+    dead report fields and the second eta left the package; compared
+    as canonical JSON, so a bool that turns into an int fails too."""
+    path = os.path.join(os.path.dirname(__file__), "data", "verdicts.json")
+    with open(path) as fh:
+        pinned = json.load(fh)
+    got = _pinned_verdicts()
+    assert len(got) == len(pinned) == 256
+    for want, rec in zip(pinned, got):
+        assert (json.dumps(rec, sort_keys=True)
+                == json.dumps(want, sort_keys=True)), want
 
 
 def test_naive_oracle_small_agreement():

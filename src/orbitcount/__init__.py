@@ -14,7 +14,7 @@ Typical use:
     assert verdict.passed
 """
 
-from .errors import (BudgetExceeded, GroupConstraintViolated, Indeterminate,
+from .errors import (BudgetExceeded, GroupConstraintViolated,
                      NotStronglyRegular, PrecisionExhausted, SchemaError,
                      TargetUnreachable)
 from .group_ring import build_group_order, group_counts, lie_transport
@@ -36,9 +36,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded", "EElem", "FieldDesc", "GroupConstraintViolated",
-    "Indeterminate", "InvariantPair", "MatrixE", "NotStronglyRegular",
-    "PrecisionExhausted", "SchemaError", "TargetUnreachable", "TruncSeries",
-    "Verdict", "auto_precision", "build_group_order",
+    "InvariantPair", "MatrixE", "NotStronglyRegular", "PrecisionExhausted",
+    "SchemaError", "TargetUnreachable", "TruncSeries", "Verdict",
+    "auto_precision", "build_group_order",
     "build_hermitian_quotient", "build_order", "build_quotient",
     "count_selfdual", "dvr_closed_form", "enumerate_stable_submodules",
     "field_desc", "group_counts", "instance_from_obj", "instance_to_obj",

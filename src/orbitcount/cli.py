@@ -19,9 +19,8 @@ import io
 import json
 import sys
 
-from .errors import (BudgetExceeded, GeneratorNotFound, GroupConstraintViolated,
-                     Indeterminate, NotStronglyRegular, PrecisionExhausted,
-                     SchemaError, TargetUnreachable)
+from .errors import (BudgetExceeded, InvariantViolation, OrbitCountError,
+                     SchemaError)
 from .local_field import field_desc
 from .verify import (SCHEMA_VERSION, instance_from_obj, instance_to_obj,
                      oracle_checks, rand_group_instance, rand_invariants,
@@ -90,14 +89,10 @@ def main(argv=None):
     except BudgetExceeded as e:
         print(f"error: budget exceeded: {e}", file=sys.stderr)
         return 3
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (GroupConstraintViolated, NotStronglyRegular, TargetUnreachable,
-            Indeterminate, PrecisionExhausted, GeneratorNotFound) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
+    except InvariantViolation:
+        # a bug, not bad input: keep the traceback
+        raise
+    except (OrbitCountError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,11 @@ class NotAUnit(OrbitCountError):
 
 
 class PrecisionExhausted(OrbitCountError):
-    """An operation needed coefficients beyond the tracked precision."""
+    """An operation needed coefficients beyond the tracked precision, or a
+    quantity is 0 modulo the working precision, so its valuation is unknown.
+
+    ``needed`` is a suggested precision that might resolve the question.
+    """
 
     def __init__(self, msg="", needed=None):
         super().__init__(msg or "precision exhausted")
@@ -24,17 +28,6 @@ class PrecisionExhausted(OrbitCountError):
 
 class NotStronglyRegular(OrbitCountError):
     """Invariants fail strong regularity (vanishing discriminant or pairing determinant)."""
-
-
-class Indeterminate(OrbitCountError):
-    """A quantity is 0 modulo the working precision, so its valuation is unknown.
-
-    Carries a suggested precision that might resolve the question.
-    """
-
-    def __init__(self, msg="", needed=None):
-        super().__init__(msg or "indeterminate at working precision")
-        self.needed = needed
 
 
 class BudgetExceeded(OrbitCountError):

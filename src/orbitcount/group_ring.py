@@ -16,7 +16,7 @@ congruence between the transported pair and the group order.
 
 import random
 
-from .errors import (GeneratorNotFound, GroupConstraintViolated, Indeterminate,
+from .errors import (GeneratorNotFound, GroupConstraintViolated,
                      NotStronglyRegular, require)
 from .hermitian import lattice_counts
 from .invariants import (InvariantPair, char_poly_disc, regular_val,
@@ -223,12 +223,8 @@ def build_group_order(ab, N):
         require(all(GM[i][r].agrees_with(MtG[i][r])
                     for i in range(n) for r in range(n)),
                 "multiplication is not self-adjoint for the Gram pairing")
-    detG = mat_det(G, sz, so)
-    val_delta = detG.val()
-    if val_delta is None:
-        if detG.is_zero():
-            raise NotStronglyRegular("Gram determinant of the fixed ring vanishes")
-        raise Indeterminate("Gram determinant vanishes at working precision")
+    val_delta = regular_val(mat_det(G, sz, so), ab,
+                            "Gram determinant of the fixed ring")
 
     gen_poly, T, gen_powers = _find_generator(ab, basis_polys, mult_ops,
                                               taus, U, N)

@@ -26,7 +26,7 @@ group pair, or one whose parity fails) is computed over E, which also
 serves the tests as the reference for the real forms.
 """
 
-from .errors import (Indeterminate, NotStronglyRegular, SchemaError,
+from .errors import (NotStronglyRegular, PrecisionExhausted, SchemaError,
                      is_json_int, require)
 from .linalg import char_coeffs, mat_det
 from .local_field import EElem, TruncSeries, eelem_from_obj
@@ -394,7 +394,8 @@ def regular_val(x, ab, what):
     """val x for x = disc(P_a) or Delta of ab; None when x is exactly 0.
 
     A value that vanishes only modulo the working precision is
-    inconclusive and raises Indeterminate with a doubled-precision hint.
+    inconclusive and raises PrecisionExhausted with a doubled-precision
+    hint.
     """
     v = x.val()
     if v is not None:
@@ -402,8 +403,8 @@ def regular_val(x, ab, what):
     if x.prec is None:
         return None
     cur = ab.prec() or 0
-    raise Indeterminate(f"{what} vanishes at working precision",
-                        needed=2 * max(cur, 1))
+    raise PrecisionExhausted(f"{what} vanishes at working precision",
+                             needed=2 * max(cur, 1))
 
 
 def strong_regularity(ab):
@@ -414,7 +415,7 @@ def strong_regularity(ab):
     report keeps alpha and r_0..r_(2n-2) for build_order.  Other pairs
     take the E path and the report carries no forms.  Exact zeros make
     the instance genuinely singular; zeros at the working precision are
-    inconclusive and raise Indeterminate (see regular_val).
+    inconclusive and raise PrecisionExhausted (see regular_val).
     """
     forms = real_forms(ab)
     delta, moments = _delta(ab, forms)

@@ -109,18 +109,18 @@ class TruncSeries:
         return TruncSeries(k, (), 0, prec)
 
     @staticmethod
-    def const(k, c, prec=None):
+    def const(k, c):
         if not 0 <= c < k.q:
             raise ValueError(f"{c} is not an element index of F_{k.q}")
-        return TruncSeries(k, (c,), 0, prec)
+        return TruncSeries(k, (c,), 0, None)
 
     @staticmethod
     def one(k, prec=None):
         return TruncSeries(k, (1,), 0, prec)
 
     @staticmethod
-    def pi_pow(k, e, prec=None):
-        return TruncSeries(k, (1,), e, prec)
+    def pi_pow(k, e):
+        return TruncSeries(k, (1,), e, None)
 
     # -- structure ---------------------------------------------------
 
@@ -332,14 +332,13 @@ class EElem:
         return EElem(desc, series, TruncSeries.zero(desc.k, series.prec))
 
     @staticmethod
-    def zero(desc, prec=None):
-        z = TruncSeries.zero(desc.k, prec)
+    def zero(desc):
+        z = TruncSeries.zero(desc.k)
         return EElem(desc, z, z)
 
     @staticmethod
-    def one(desc, prec=None):
-        return EElem(desc, TruncSeries.one(desc.k, prec),
-                     TruncSeries.zero(desc.k, prec))
+    def one(desc):
+        return EElem(desc, TruncSeries.one(desc.k), TruncSeries.zero(desc.k))
 
     @staticmethod
     def from_split_pair(desc, u, v):
@@ -491,20 +490,27 @@ def series_to_obj(s):
             "coeffs": [k.digits(c) for c in s.coeffs]}
 
 
-def series_from_obj(obj, k, field=""):
+def _digit_rows(obj, k, width, field):
+    """(shift, coeffs) of a series object whose coeffs are digit vectors
+    of the given width, each checked."""
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise SchemaError(field, "expected a series object with 'coeffs'")
+    if not isinstance(obj["coeffs"], list):
+        raise SchemaError(field + ".coeffs", "expected a list")
     shift = obj.get("shift", 0)
     if not is_json_int(shift):
         raise SchemaError(field + ".shift", "must be an integer")
-    coeffs = []
     for i, ds in enumerate(obj["coeffs"]):
-        if not (isinstance(ds, list) and len(ds) == k.m
+        if not (isinstance(ds, list) and len(ds) == width
                 and all(is_json_int(d) and 0 <= d < k.p for d in ds)):
             raise SchemaError(f"{field}.coeffs[{i}]",
-                              f"expected {k.m} base-{k.p} digits")
-        coeffs.append(k.from_digits(ds))
-    return TruncSeries(k, coeffs, shift, None)
+                              f"expected {width} base-{k.p} digits")
+    return shift, obj["coeffs"]
+
+
+def series_from_obj(obj, k, field=""):
+    shift, rows = _digit_rows(obj, k, k.m, field)
+    return TruncSeries(k, [k.from_digits(ds) for ds in rows], shift, None)
 
 
 def eelem_to_obj(x):
@@ -538,19 +544,8 @@ def eelem_from_obj(obj, desc, field=""):
         return EElem.from_split_pair(desc, u, v)
     if not (isinstance(obj, dict) and "inert" in obj):
         raise SchemaError(field, "expected {'inert': series}")
-    sobj = obj["inert"]
-    if not isinstance(sobj, dict) or "coeffs" not in sobj:
-        raise SchemaError(field + ".inert", "expected a series object")
-    shift = sobj.get("shift", 0)
-    if not is_json_int(shift):
-        raise SchemaError(field + ".inert.shift", "must be an integer")
-    res, ims = [], []
-    for i, ds in enumerate(sobj["coeffs"]):
-        if not (isinstance(ds, list) and len(ds) == 2 * k.m
-                and all(is_json_int(d) and 0 <= d < k.p for d in ds)):
-            raise SchemaError(f"{field}.inert.coeffs[{i}]",
-                              f"expected {2 * k.m} base-{k.p} digits")
-        res.append(k.from_digits(ds[:k.m]))
-        ims.append(k.from_digits(ds[k.m:]))
+    shift, rows = _digit_rows(obj["inert"], k, 2 * k.m, field + ".inert")
+    res = [k.from_digits(ds[:k.m]) for ds in rows]
+    ims = [k.from_digits(ds[k.m:]) for ds in rows]
     return EElem(desc, TruncSeries(k, res, shift, None),
                  TruncSeries(k, ims, shift, None))

@@ -15,9 +15,9 @@ import time
 
 import numpy as np
 
-from .errors import (BudgetExceeded, Indeterminate, InvariantViolation,
-                     NotStronglyRegular, PrecisionExhausted, SchemaError,
-                     TargetUnreachable, is_json_int, require)
+from .errors import (BudgetExceeded, InvariantViolation, NotStronglyRegular,
+                     PrecisionExhausted, SchemaError, TargetUnreachable,
+                     is_json_int, require)
 from .fqpoly import is_irreducible
 from .group_ring import build_group_order, group_counts, lie_transport
 from .hermitian import (build_hermitian_quotient, lattice_counts,
@@ -106,17 +106,16 @@ def auto_precision(n):
 def escalate_precision(build, precision):
     """(build(N), N) for the first working precision N that resolves.
 
-    N starts at precision and doubles on PrecisionExhausted /
-    Indeterminate, or jumps to the raised hint when that is larger, up
-    to PRECISION_CAP.  Exact inputs always converge this way; truncated
-    inputs that are genuinely too shallow keep raising and eventually
-    surface the original error.
+    N starts at precision and doubles on PrecisionExhausted, or jumps
+    to the raised hint when that is larger, up to PRECISION_CAP.  Exact
+    inputs always converge this way; truncated inputs that are genuinely
+    too shallow keep raising and eventually surface the original error.
     """
     N = precision
     while True:
         try:
             return build(N), N
-        except (PrecisionExhausted, Indeterminate) as exc:
+        except PrecisionExhausted as exc:
             bumped = max(2 * N, exc.needed or 0)
             if bumped > PRECISION_CAP:
                 raise
@@ -536,7 +535,7 @@ def rand_sn_matrix(n, desc, seed=0, max_val_delta=6):
         ab = invariants_of(A)
         try:
             reg = strong_regularity(ab)
-        except Indeterminate:
+        except PrecisionExhausted:
             continue
         if not reg.strongly_regular or reg.val_delta > max_val_delta:
             continue
@@ -595,7 +594,7 @@ def rand_group_instance(n, desc, seed=0):
             ab = InvariantPair([a1, g], [b0, b1], desc)
         try:
             build_group_order(ab, auto_precision(n))
-        except (NotStronglyRegular, Indeterminate, PrecisionExhausted):
+        except (NotStronglyRegular, PrecisionExhausted):
             continue
         return ab
     raise TargetUnreachable(
@@ -634,6 +633,8 @@ def instance_from_obj(obj):
     ext = obj["ext"]
     if not is_json_int(q):
         raise SchemaError("q", "expected an integer prime power")
+    if not isinstance(ext, str):
+        raise SchemaError("ext", "expected 'split' or 'inert'")
     desc = field_desc(q, ext)
     for key, want in (("p", desc.p), ("m", desc.m)):
         if key in obj and obj[key] != want:

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from orbitcount import cli, group_ring
-from orbitcount.errors import GeneratorNotFound
+from orbitcount.errors import GeneratorNotFound, InvariantViolation
 from orbitcount.invariants import InvariantPair
-from orbitcount.local_field import EElem, field_desc
+from orbitcount.local_field import EElem, TruncSeries, field_desc
 from orbitcount.verify import instance_to_obj
 
 
@@ -147,6 +147,25 @@ def test_oracle_group_transport(tmp_path, capsys):
     assert "agreement: all applicable oracles agree" in text
 
 
+def test_deep_group_instance_escalates(tmp_path, capsys):
+    # val Delta = 6 = 2n + 4: det G is 0 modulo the default precision 6,
+    # which escalates instead of refusing the instance
+    desc = field_desc(3, "split")
+    b0 = EElem.from_real(desc, TruncSeries.pi_pow(desc.k, 6))
+    inst = tmp_path / "deep.json"
+    inst.write_text(json.dumps(instance_to_obj(
+        InvariantPair([EElem.one(desc)], [b0], desc), mode="group")))
+    rc = cli.main(["verify", str(inst)])
+    verdict = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert (verdict["v"], verdict["N"], verdict["precision"]) == (6, 7, 12)
+    assert verdict["pass"] is True
+    rc = cli.main(["oracle", str(inst)])
+    text = capsys.readouterr().out
+    assert rc == 0
+    assert text.rstrip().endswith("agreement: all applicable oracles agree")
+
+
 def test_missing_file_is_schema_error(tmp_path, capsys):
     rc = cli.main(["verify", str(tmp_path / "nope.json")])
     assert rc == 2
@@ -278,3 +297,19 @@ def test_generator_not_found_exit_code(tmp_path, capsys, monkeypatch):
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: no residual generator found"), err
+
+
+def test_invariant_violation_is_not_bad_input(tmp_path, capsys, monkeypatch):
+    # a failed invariant is a bug in the package, so main lets it through
+    # with its traceback instead of exiting 2 as for bad input
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "--n", "1", "--q", "3", "--ext", "inert",
+              "--seed", "0", "--out", str(inst)])
+    capsys.readouterr()
+
+    def broken(ab, precision=None):
+        raise InvariantViolation("torsion pairing is not perfect")
+
+    monkeypatch.setattr(cli, "verify_count_identity", broken)
+    with pytest.raises(InvariantViolation):
+        cli.main(["verify", str(inst)])

@@ -20,8 +20,8 @@ from orbitcount.local_field import (EElem, TruncSeries, field_desc,
 from orbitcount.order_lattices import stable_submodules
 from orbitcount.verify import (_norm_one_constants, auto_precision,
                                instance_from_obj, instance_to_obj,
-                               rand_group_instance, verify_count_identity,
-                               verify_group_identity)
+                               oracle_checks, rand_group_instance,
+                               verify_count_identity, verify_group_identity)
 
 inert3 = field_desc(3, "inert")
 split3 = field_desc(3, "split")
@@ -84,6 +84,49 @@ def test_two_factor_group_instance(q, seed, m):
     assert gv.N == len(selfdual_submodules(QE)) == 0
     lv = verify_count_identity(lie_transport(gv.order))
     assert (lv.m, lv.N) == (gv.m, gv.N)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_deep_chain_orders_escalate(q):
+    # val Delta = e >= 2n + 4 = 6: det G is 0 modulo the default
+    # precision, so the verdict escalates as for disc(P_a) and Delta
+    for ext in ("split", "inert"):
+        desc = field_desc(q, ext)
+        for g in _norm_one_constants(desc)[:3]:
+            for e in range(6, 10):
+                b0 = EElem.from_real(desc, TruncSeries.pi_pow(desc.k, e))
+                ab = InvariantPair([g], [b0], desc)
+                gv = verify_group_identity(ab)
+                assert gv.v == e and gv.passed
+                assert gv.precision > auto_precision(1)
+                ok, lines = oracle_checks(ab, "group")
+                assert ok, lines
+
+
+def test_deep_two_dim_group_pair_escalates():
+    # the sampler's construction with g = -1, x = 1 + pi + j pi,
+    # u = j pi^2 and b_0 = pi^5 gives a = (2 j pi, -1), b = (pi^5, j pi^6)
+    # at v = 10 >= 2n + 4
+    desc = inert3
+    k = desc.k
+
+    def pi_pow(e):
+        return EElem.from_real(desc, TruncSeries.pi_pow(k, e))
+
+    j = imaginary_unit(desc)
+    g = -EElem.one(desc)
+    x = pi_pow(0) + pi_pow(1) + j * pi_pow(1)
+    u = j * pi_pow(2)
+    b0 = pi_pow(5)
+    a1 = x + g * x.sigma()
+    inv2 = EElem.from_real(desc, TruncSeries.const(k, k.inv[2]))
+    b1 = a1 * b0 * inv2 + (u - g * u.sigma())
+    ab = InvariantPair([a1, g], [b0, b1], desc)
+    gv = verify_group_identity(ab)
+    assert (gv.v, gv.N, gv.precision) == (10, 0, 16)
+    assert gv.m == [1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1]
+    ok, lines = oracle_checks(ab, "group")
+    assert ok, lines
 
 
 def test_rejects_nonunit_leading_coefficient():
@@ -180,7 +223,7 @@ def test_generator_search_order_and_cap(monkeypatch, n, tries):
         seen.append(M)
         if len(seen) == 1:
             return det(M, zero, one)  # the Gram determinant
-        return TruncSeries.pi_pow(desc.k, 1, N)
+        return TruncSeries.pi_pow(desc.k, 1).truncated(N)
 
     monkeypatch.setattr(group_ring, "mat_det", no_unit)
     with pytest.raises(GeneratorNotFound, match="attempt cap"):
@@ -193,8 +236,10 @@ def test_generator_search_order_and_cap(monkeypatch, n, tries):
         want = [[1, 0], [0, 1], [1, 1], [1, 2]]
         want += [[rng.randrange(5) for _ in range(2)] for _ in range(64)]
         for C, coef in zip(tried[1:], want):
-            assert all(C[i][1].agrees_with(TruncSeries.const(desc.k, c, N))
-                       for i, c in enumerate(coef)), coef
+            want_col = [TruncSeries.const(desc.k, c).truncated(N)
+                        for c in coef]
+            assert all(C[i][1].agrees_with(x)
+                       for i, x in enumerate(want_col)), coef
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -30,8 +30,8 @@ split3 = field_desc(3, "split")
 
 
 def _pi_pair(desc, e):
-    b0 = EElem.from_real(desc, TruncSeries.pi_pow(desc.k, e, prec=10))
-    return InvariantPair([EElem.zero(desc, 10)], [b0], desc)
+    b0 = EElem.from_real(desc, TruncSeries.pi_pow(desc.k, e))
+    return InvariantPair([EElem.zero(desc)], [b0], desc).truncated(10)
 
 
 def _every_sheet(QE):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import orbitcount
-from orbitcount.errors import (Indeterminate, InvariantViolation,
-                               NotStronglyRegular, SchemaError)
+from orbitcount.errors import (InvariantViolation, NotStronglyRegular,
+                               PrecisionExhausted, SchemaError)
 from orbitcount.group_ring import build_group_order, lie_transport
 from orbitcount.invariants import (InvariantPair, MatrixE, char_poly_disc,
                                    delta_invariant, invariants_of,
@@ -187,7 +187,7 @@ def test_disc_matches_sylvester_on_lie_pairs(q):
                     indeterminate = want.val() is None and want.prec is not None
                     try:
                         rep = strong_regularity(cut)
-                    except Indeterminate:
+                    except PrecisionExhausted:
                         assert indeterminate, (n, N)
                     else:
                         assert not indeterminate, (n, N)
@@ -215,13 +215,13 @@ def _e_forms(ab):
 
 
 def _classify(disc, delta, ab):
-    """strong_regularity's outcome from the two values: Indeterminate
+    """strong_regularity's outcome from the two values: PrecisionExhausted
     (disc checked first) or the valuations, None for an exact zero
     (NotStronglyRegular in build_order)."""
     try:
         return (regular_val(disc, ab, "disc(P_a)"),
                 regular_val(delta, ab, "Delta"))
-    except Indeterminate as exc:
+    except PrecisionExhausted as exc:
         return ("indeterminate", str(exc), exc.needed)
 
 
@@ -244,7 +244,7 @@ def _check_real_forms(ab):
     assert _classify(got[1], got[0], ab) == expect
     try:
         rep = strong_regularity(ab)
-    except Indeterminate as exc:
+    except PrecisionExhausted as exc:
         assert expect == ("indeterminate", str(exc), exc.needed)
     else:
         assert (rep.val_disc, rep.val_delta) == expect
@@ -354,7 +354,7 @@ def test_disc_matches_sylvester_on_group_pairs(q):
             want = _check_disc(cut)
             if N is not None and N <= 2:
                 assert want.val() is None
-                with pytest.raises(Indeterminate, match="disc"):
+                with pytest.raises(PrecisionExhausted, match="disc"):
                     build_group_order(cut, auto_precision(2))
             else:
                 assert want.val() == 2

@@ -71,7 +71,7 @@ def test_nonresidue_and_jsq():
 
 
 def test_series_val_and_coeffs():
-    x = TruncSeries.pi_pow(k3, 2, prec=8)
+    x = TruncSeries.pi_pow(k3, 2).truncated(8)
     assert x.val() == 2
     assert x.coeff_at(2) == 1
     assert x.coeff_at(5) == 0
@@ -160,10 +160,12 @@ def test_split_pair_coordinates():
 def test_eelem_val_ignores_digits_past_its_precision():
     # pi^6 + O(pi^9) + j O(pi^4) is known modulo pi^4 only, so it is 0
     # there, as a series would be
-    x = EElem(inert3, TruncSeries.pi_pow(k3, 6, 9), TruncSeries.zero(k3, 4))
+    x = EElem(inert3, TruncSeries.pi_pow(k3, 6).truncated(9),
+              TruncSeries.zero(k3, 4))
     assert x.prec == 4
     assert x.val() is None and x.is_integral()
-    y = EElem(inert3, TruncSeries.pi_pow(k3, 3, 9), TruncSeries.zero(k3, 4))
+    y = EElem(inert3, TruncSeries.pi_pow(k3, 3).truncated(9),
+              TruncSeries.zero(k3, 4))
     assert y.val() == 3
 
 

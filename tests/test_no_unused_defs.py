@@ -1,9 +1,12 @@
-"""Every function, class and method of the package is used by the package.
+"""Every function, class, method and stored field of the package is used
+by the package.
 
 A definition counts as used when its name appears as a name or as an
 attribute somewhere in src/ outside its own body, when it is exported
 in orbitcount.__all__, or when it is a dunder (called by the language,
-not by name).  Code that only the tests call has no place in src/.
+not by name).  A field named in a class's __slots__ counts as used when
+src/ reads some attribute of that name: a field that is only ever
+stored is dead.  Code that only the tests call has no place in src/.
 """
 
 import ast
@@ -50,3 +53,34 @@ def test_every_definition_is_used_in_src():
         unused.append(f"{f}:{node.lineno} {name}")
     assert not unused, "defined in src/ but never used there: " + ", ".join(
         unused)
+
+
+def _slot_names(cls):
+    """(name, lineno) of each field that cls's __slots__ lists."""
+    for stmt in cls.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in stmt.targets)
+                and isinstance(stmt.value, (ast.Tuple, ast.List))):
+            for elt in stmt.value.elts:
+                if isinstance(elt, ast.Constant) and isinstance(elt.value,
+                                                                str):
+                    yield elt.value, elt.lineno
+
+
+def test_every_stored_field_is_read_in_src():
+    trees = _parse_package()
+    fields, loads = [], set()
+    for f, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields += [(f, node.name, name, line)
+                           for name, line in _slot_names(node)]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loads.add(node.attr)
+    assert fields, "no __slots__ found: the scan has gone blind"
+    unread = [f"{f}:{line} {cls}.{name}" for f, cls, name, line in fields
+              if name not in loads]
+    assert not unread, "stored in src/ but never read there: " + ", ".join(
+        unread)

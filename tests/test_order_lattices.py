@@ -34,8 +34,9 @@ split3 = field_desc(3, "split")
 
 
 def _pi_pair(desc, e, prec=None):
-    b0 = EElem.from_real(desc, TruncSeries.pi_pow(desc.k, e, prec=prec))
-    return InvariantPair([EElem.zero(desc, prec)], [b0], desc)
+    b0 = EElem.from_real(desc, TruncSeries.pi_pow(desc.k, e))
+    ab = InvariantPair([EElem.zero(desc)], [b0], desc)
+    return ab if prec is None else ab.truncated(prec)
 
 
 def _naive_m(Q):
@@ -72,10 +73,10 @@ def test_cyclic_chain_quotient():
 
 def test_two_dim_order_frozen():
     # a = (0, -pi^2), b = (1, 0): the order is O[jt]/((jt)^2 - d pi^2)
-    pi2 = EElem.from_real(inert3, TruncSeries.pi_pow(inert3.k, 2, prec=12))
-    ab = InvariantPair([EElem.zero(inert3, 12), -pi2],
-                       [EElem.one(inert3, 12), EElem.zero(inert3, 12)],
-                       inert3)
+    pi2 = EElem.from_real(inert3, TruncSeries.pi_pow(inert3.k, 2))
+    ab = InvariantPair([EElem.zero(inert3), -pi2],
+                       [EElem.one(inert3), EElem.zero(inert3)],
+                       inert3).truncated(12)
     o = build_order(ab)
     d = inert3.jsq
     assert o.G[0][0].coeff_at(0) == 1

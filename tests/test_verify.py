@@ -275,6 +275,22 @@ def test_instance_schema_errors():
     with pytest.raises(SchemaError, match="instance"):
         instance_from_obj([1, 2])
 
+    # malformed shapes are refused by name, not by a TypeError
+    bad = json.loads(json.dumps(base))
+    bad["a"][0]["inert"]["coeffs"] = None
+    with pytest.raises(SchemaError, match=r"^a\[0\]\.inert\.coeffs:"):
+        instance_from_obj(bad)
+
+    bad = instance_to_obj(rand_invariants(1, split3, 1, seed=1))
+    bad["b"][0]["split"][1]["coeffs"] = 5
+    with pytest.raises(SchemaError, match=r"^b\[0\]\.split\[1\]\.coeffs:"):
+        instance_from_obj(bad)
+
+    bad = dict(base)
+    bad["ext"] = ["split"]
+    with pytest.raises(SchemaError, match="^ext:"):
+        instance_from_obj(bad)
+
     # parity violations surface on the lie-mode re-validation
     unvalidated = instance_to_obj(InvariantPair(
         [EElem.one(inert3)], [EElem.one(inert3)], inert3))

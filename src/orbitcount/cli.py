@@ -8,9 +8,10 @@ Subcommands:
   report    summarize a sweep CSV
 
 Exit codes: 0 success, 1 the identity fails, 2 bad input or usage,
-3 enumeration budget exceeded.  The environment variable ORBITAL_BUDGET
-caps the candidate lines of each subspace walk and the subspace count
-of the naive scans.
+3 enumeration budget exceeded, 4 an internal invariant failed (a bug,
+reported with its traceback on stderr).  The environment variable
+ORBITAL_BUDGET caps the candidate lines of each subspace walk and the
+subspace count of the naive scans.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 
 from .errors import (BudgetExceeded, InvariantViolation, OrbitCountError,
                      SchemaError)
@@ -90,8 +92,9 @@ def main(argv=None):
         print(f"error: budget exceeded: {e}", file=sys.stderr)
         return 3
     except InvariantViolation:
-        # a bug, not bad input: keep the traceback
-        raise
+        # a bug, not bad input and not a failed identity: keep the traceback
+        traceback.print_exc()
+        return 4
     except (OrbitCountError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -132,20 +132,21 @@ def build_hermitian_quotient(order, desc, N, fq=None):
     herm_im = _block2(space, zero, space.neg(B), B, zero, v)
     # Hermitian symmetry and sesquilinearity in component form, checked
     # once: the pi^(-r) sheets are these times P^(r-1), and P is a
-    # lifted op
+    # lifted op.  With re symmetric and im antisymmetric, X^t re =
+    # (re X)^t and X^t im = -(im X)^t for every X, so J on the right
+    # (re J = -d im, im J = -re) follows from J on the left, and a lifted
+    # op M is equivariant (M^t H = H M) when re M is symmetric and im M
+    # antisymmetric.
     require(np.array_equal(herm_re, herm_re.T)
             and np.array_equal(herm_im, space.neg(herm_im.T)),
             "Hermitian form is not (anti)symmetric")
-    dHim = space.mul(herm_im, d)
-    require(np.array_equal(space.matmul(J2.T, herm_re), dHim)
-            and np.array_equal(space.matmul(J2.T, herm_im), herm_re)
-            and np.array_equal(space.matmul(herm_re, J2), space.neg(dHim))
-            and np.array_equal(space.matmul(herm_im, J2),
-                               space.neg(herm_re)),
+    require(np.array_equal(space.matmul(J2.T, herm_re), space.mul(herm_im, d))
+            and np.array_equal(space.matmul(J2.T, herm_im), herm_re),
             "Hermitian form is not sesquilinear in j")
     for M in lifted:
-        require(all(np.array_equal(space.matmul(M.T, H), space.matmul(H, M))
-                    for H in (herm_re, herm_im)),
+        ReM, ImM = space.matmul(herm_re, M), space.matmul(herm_im, M)
+        require(np.array_equal(ReM, ReM.T)
+                and np.array_equal(ImM, space.neg(ImM.T)),
                 "Hermitian form is not equivariant")
     require(space.rank(np.concatenate([herm_re, herm_im])) == 2 * v,
             "Hermitian form is not perfect")
@@ -227,7 +228,7 @@ def _orthogonal_pairs(B):
     stacks = {}
     for S in B.submodules:
         stacks.setdefault(S.dim, []).append(S.basis_matrix())
-    stacks = {dim: np.stack(bases) for dim, bases in stacks.items()}
+    stacks = {dim: np.array(bases) for dim, bases in stacks.items()}
     for A in B.submodules:
         partners = stacks.get(v - A.dim, space.zeros((0, v - A.dim, v)))
         AB = space.matmul(A.basis_matrix(), B.pairing)

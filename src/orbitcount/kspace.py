@@ -7,6 +7,7 @@ and np_mul are applied by fancy indexing, with matrix products looping
 over the (small) inner dimension.
 """
 
+from bisect import bisect_left
 from itertools import combinations
 
 import numpy as np
@@ -48,20 +49,19 @@ class KSpace:
             return (a * b) % self.p
         return self.k.np_mul[a, b]
 
-    def inv_el(self, a):
-        return self.k.inv[int(a)]
-
     # -- products ----------------------------------------------------
 
     def matmul(self, A, B):
-        """A @ B where A is (..., K) and B is (K, M) or batched (..., K, M).
+        """A @ B where A is (..., K) and B is (K, M) or batched (..., K, M),
+        both int64 arrays.
 
-        Entries stay below q so the prime path cannot overflow int64.
+        Entries stay below q < 512 (field_desc's bound), so the prime
+        path cannot overflow int64.
         """
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
         if self.prime:
-            return (A @ B) % self.p
+            out = A @ B
+            out %= self.p
+            return out
         K = A.shape[-1]
         if B.ndim == 2:
             out = self.zeros(A.shape[:-1] + (B.shape[1],))
@@ -78,7 +78,11 @@ class KSpace:
         return out
 
     def mat_vec(self, M, v):
-        return self.matmul(M, v.reshape(-1, 1)).reshape(-1)
+        if self.prime:
+            out = M @ v
+            out %= self.p
+            return out
+        return self.matmul(M, v[:, None])[:, 0]
 
     def dots(self, A, B):
         """Row-wise dot products: out[i] = sum_t A[i, t] B[i, t]."""
@@ -96,26 +100,33 @@ class KSpace:
         """Reduced row echelon form; returns (R, pivot_columns)."""
         R = np.array(A, dtype=np.int64)
         rows, cols = R.shape
+        inv = self.k.inv
         pivots = []
         r = 0
         for c in range(cols):
             if r == rows:
                 break
-            nz = np.nonzero(R[r:, c])[0]
-            if nz.size == 0:
+            nz = R[r:, c].nonzero()[0]
+            if not nz.size:
                 continue
             i = r + int(nz[0])
             if i != r:
                 R[[r, i]] = R[[i, r]]
-            s = self.inv_el(R[r, c])
-            R[r] = self.mul(R[r], s)
-            # clear column c in every other row at once
+            s = inv[int(R[r, c])]
             col = R[:, c].copy()
             col[r] = 0
-            hit = np.nonzero(col)[0]
-            if hit.size:
-                R[hit] = self.sub(R[hit],
-                                  self.mul(col[hit, None], R[r][None, :]))
+            if self.prime:
+                R[r] *= s
+                R[r] %= self.p
+                # clear column c in every other row at once
+                R -= col[:, None] * R[r]
+                R %= self.p
+            else:
+                R[r] = self.mul(R[r], s)
+                hit = np.nonzero(col)[0]
+                if hit.size:
+                    R[hit] = self.sub(R[hit],
+                                      self.mul(col[hit, None], R[r][None, :]))
             pivots.append(c)
             r += 1
         return R[:r], pivots
@@ -150,11 +161,12 @@ class EchelonBasis:
         self.space = space
         self.n = n
         self.rows = []     # each a length-n int64 vector, leading entry 1
-        self.pivots = []   # strictly increasing? no: kept sorted with rows
+        self.pivots = []   # increasing, rows[i] has its leading 1 at pivots[i]
 
     def copy(self):
+        # rows are replaced, never written in place, so copies share them
         c = EchelonBasis(self.space, self.n)
-        c.rows = [r.copy() for r in self.rows]
+        c.rows = list(self.rows)
         c.pivots = list(self.pivots)
         return c
 
@@ -166,8 +178,13 @@ class EchelonBasis:
         sp = self.space
         v = np.array(v, dtype=np.int64)
         for p, row in zip(self.pivots, self.rows):
-            if v[p]:
-                v = sp.sub(v, sp.mul(row, v[p]))
+            c = v[p]
+            if c:
+                if sp.prime:
+                    v -= row * c
+                    v %= sp.p
+                else:
+                    v = sp.sub(v, sp.mul(row, c))
         return v
 
     def contains(self, v):
@@ -177,31 +194,38 @@ class EchelonBasis:
         """Add v to the span; returns False if it was already inside."""
         sp = self.space
         v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
+        nz = v.nonzero()[0]
+        if not nz.size:
             return False
         p = int(nz[0])
-        v = sp.mul(v, sp.inv_el(v[p]))
+        s = sp.k.inv[int(v[p])]
+        rows = self.rows
+        if sp.prime:
+            v *= s
+            v %= sp.p
+        else:
+            v = sp.mul(v, s)
         # clear column p in the existing rows to keep full reduction
-        for i, row in enumerate(self.rows):
-            if row[p]:
-                self.rows[i] = sp.sub(row, sp.mul(v, row[p]))
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < p:
-            at += 1
+        for i, row in enumerate(rows):
+            c = row[p]
+            if c:
+                rows[i] = ((row - v * c) % sp.p if sp.prime
+                           else sp.sub(row, sp.mul(v, c)))
+        at = bisect_left(self.pivots, p)
         self.pivots.insert(at, p)
-        self.rows.insert(at, v)
+        rows.insert(at, v)
         return True
 
     def basis_matrix(self):
         if not self.rows:
             return self.space.zeros((0, self.n))
-        return np.stack(self.rows)
+        return np.array(self.rows)
 
     def key(self):
-        # full-width entries: a narrower cast would merge distinct
-        # subspaces once q exceeds its range
-        return self.basis_matrix().astype(np.int64, copy=False).tobytes()
+        # the bytes of the stacked int64 rows: full-width entries, since
+        # a narrower cast would merge distinct subspaces once q exceeds
+        # its range
+        return b"".join(map(np.ndarray.tobytes, self.rows))
 
 
 def gaussian_binomial(n, d, q):

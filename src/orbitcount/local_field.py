@@ -64,10 +64,17 @@ class FieldDesc:
         return hash((self.p, self.m, self.ext))
 
 
+# GFTable builds dense q x q tables, whose memory grows as q^2
+MAX_Q = 512
+
+
 @lru_cache(maxsize=None)
 def field_desc(q, ext):
     if ext not in (SPLIT, INERT):
         raise SchemaError("ext", "expected 'split' or 'inert'")
+    if is_json_int(q) and q >= MAX_Q:
+        raise SchemaError("q", f"{q} is too large: the field tables are "
+                               f"dense, so q must be below {MAX_Q}")
     try:
         k = gf_by_order(q)
     except (ValueError, TypeError) as exc:
@@ -81,25 +88,26 @@ class TruncSeries:
     Normal form: ``coeffs`` is a tuple with nonzero first and last entries
     (leading zeros are folded into ``shift``; trailing known-zeros are
     implicit).  The zero series has ``coeffs = ()`` and ``shift = 0``.
+    The constructor takes ``coeffs`` as a list or tuple and brings it to
+    normal form; results already in it come from _normal.
     """
 
     __slots__ = ("k", "shift", "coeffs", "prec")
 
     def __init__(self, k, coeffs, shift=0, prec=None):
-        coeffs = list(coeffs)
-        if prec is not None and shift + len(coeffs) > prec:
+        n = len(coeffs)
+        if prec is not None and shift + n > prec:
             # coefficients at or beyond the precision are meaningless
-            del coeffs[max(prec - shift, 0):]
+            n = prec - shift if prec > shift else 0
         # strip leading zeros into the shift; trailing zeros are implicit
-        i, n = 0, len(coeffs)
+        i = 0
         while i < n and coeffs[i] == 0:
             i += 1
-        j = n
-        while j > i and coeffs[j - 1] == 0:
-            j -= 1
+        while n > i and coeffs[n - 1] == 0:
+            n -= 1
         self.k = k
-        self.coeffs = tuple(coeffs[i:j])
-        self.shift = shift + i if j > i else 0
+        self.coeffs = tuple(coeffs[i:n])
+        self.shift = shift + i if n > i else 0
         self.prec = prec
 
     # -- constructors ------------------------------------------------
@@ -157,94 +165,113 @@ class TruncSeries:
     def shifted(self, e):
         """Multiplication by pi^e (exactness preserved)."""
         prec = None if self.prec is None else self.prec + e
-        return TruncSeries(self.k, self.coeffs, self.shift + e, prec)
+        return _normal(self.k, self.coeffs,
+                       self.shift + e if self.coeffs else 0, prec)
 
     # -- ring ops ----------------------------------------------------
 
-    def _join_prec(self, other):
-        if self.prec is None:
-            return other.prec
-        if other.prec is None:
-            return self.prec
-        return min(self.prec, other.prec)
+    def _combine(self, other, table):
+        """self + other (table k.add) or self - other (table k.sub), to
+        the lesser precision: one pass over the coefficients of each,
+        both first cut at that precision."""
+        k = self.k
+        if k is not other.k:
+            raise ValueError("series over different residue fields")
+        pa, pb = self.prec, other.prec
+        prec = pb if pa is None else pa if pb is None or pa < pb else pb
+        a, b = self.coeffs, other.coeffs
+        sa, sb = self.shift, other.shift
+        if not b and (prec is None or pa == prec):
+            return self
+        if not a and (prec is None or pb == prec):
+            return other if table is k.add else -other
+        ea, eb = sa + len(a), sb + len(b)
+        # a zero operand occupies no range: place it where the other starts
+        if not a:
+            sa = ea = sb
+        elif not b:
+            sb = eb = sa
+        lo = sa if sa < sb else sb
+        hi = ea if ea > eb else eb
+        if prec is not None and hi > prec:
+            hi = prec
+            if ea > prec:
+                a = a[:prec - sa] if prec > sa else ()
+                ea = sa + len(a)
+            if eb > prec:
+                b = b[:prec - sb] if prec > sb else ()
+        if hi <= lo:
+            return TruncSeries(k, (), 0, prec)
+        out = [0] * (hi - lo)
+        out[sa - lo:ea - lo] = a
+        for i, c in enumerate(b, sb - lo):
+            out[i] = table[out[i]][c]
+        return TruncSeries(k, out, lo, prec)
 
     def __add__(self, other):
-        if self.k is not other.k:
-            raise ValueError("series over different residue fields")
-        prec = self._join_prec(other)
-        if not self.coeffs:
-            return other if prec is None else other.truncated(prec)
-        if not other.coeffs:
-            return self if prec is None else self.truncated(prec)
-        lo = min(self.shift, other.shift)
-        hi = max(self.shift + len(self.coeffs), other.shift + len(other.coeffs))
-        if prec is not None:
-            hi = min(hi, prec)
-        add = self.k.add
-        out = [0] * max(hi - lo, 0)
-        for i, c in enumerate(self.coeffs):
-            p = self.shift + i - lo
-            if 0 <= p < len(out):
-                out[p] = c
-        for i, c in enumerate(other.coeffs):
-            p = other.shift + i - lo
-            if 0 <= p < len(out):
-                out[p] = add[out[p]][c]
-        return TruncSeries(self.k, out, lo, prec)
-
-    def __neg__(self):
-        neg = self.k.neg
-        return TruncSeries(self.k, tuple(neg[c] for c in self.coeffs),
-                           self.shift, self.prec)
+        return self._combine(other, self.k.add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, self.k.sub)
+
+    def __neg__(self):
+        return _normal(self.k, tuple(map(self.k.neg.__getitem__, self.coeffs)),
+                       self.shift, self.prec)
 
     def __mul__(self, other):
-        if self.k is not other.k:
+        k = self.k
+        if k is not other.k:
             raise ValueError("series over different residue fields")
+        a, b = self.coeffs, other.coeffs
+        pa, pb = self.prec, other.prec
         # known modulo pi^min(val(x)+prec(y), val(y)+prec(x))
-        if self.prec is None and other.prec is None:
+        if pa is None and pb is None:
             prec = None
         else:
-            vx = self.shift if self.coeffs else self.prec
-            vy = other.shift if other.coeffs else other.prec
-            cands = []
-            if other.prec is not None:
-                cands.append((vx if vx is not None else 0) + other.prec)
-            if self.prec is not None:
-                cands.append((vy if vy is not None else 0) + self.prec)
-            prec = min(cands)
-        if not self.coeffs or not other.coeffs:
-            return TruncSeries.zero(self.k, prec)
-        add, mul = self.k.add, self.k.mul
-        n = len(self.coeffs) + len(other.coeffs) - 1
+            vx = self.shift if a else pa
+            vy = other.shift if b else pb
+            if pb is None:
+                prec = (vy or 0) + pa
+            elif pa is None:
+                prec = (vx or 0) + pb
+            else:
+                x, y = (vx or 0) + pb, (vy or 0) + pa
+                prec = x if x < y else y
+        if not a or not b:
+            return TruncSeries(k, (), 0, prec)
+        add, mul = k.add, k.mul
+        n = len(a) + len(b) - 1
         lo = self.shift + other.shift
-        if prec is not None:
-            n = min(n, prec - lo)
+        if prec is not None and n > prec - lo:
+            n = prec - lo
             if n <= 0:
-                return TruncSeries.zero(self.k, prec)
+                return TruncSeries(k, (), 0, prec)
         out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                row = mul[a]
-                for j, b in enumerate(other.coeffs):
+        for i, x in enumerate(a):
+            if x:
+                row = mul[x]
+                for j, y in enumerate(b):
                     p = i + j
                     if p >= n:
                         break
-                    if b:
-                        out[p] = add[out[p]][row[b]]
-        return TruncSeries(self.k, out, lo, prec)
+                    if y:
+                        out[p] = add[out[p]][row[y]]
+        # out[0] = a[0] b[0] is a unit, and only a product cut at its
+        # precision can end in zeros
+        while not out[n - 1]:
+            n -= 1
+        return _normal(k, tuple(out[:n]), lo, prec)
 
     def scaled(self, c):
         """Multiplication by the residue constant c (an index into k)."""
         if not 0 <= c < self.k.q:
             raise ValueError(f"{c} is not an element index of F_{self.k.q}")
         if c == 0:
-            return TruncSeries.zero(self.k, self.prec)
-        row = self.k.mul[c]
-        return TruncSeries(self.k, tuple(row[a] for a in self.coeffs),
-                           self.shift, self.prec)
+            return TruncSeries(self.k, (), 0, self.prec)
+        # a unit keeps the first and last coefficients nonzero
+        return _normal(self.k, tuple(map(self.k.mul[c].__getitem__,
+                                         self.coeffs)),
+                       self.shift, self.prec)
 
     def inv(self, laurent=False):
         """Multiplicative inverse, known to the digits the input allows.
@@ -311,6 +338,18 @@ class TruncSeries:
             body = " + ".join(parts)
         tail = "" if self.prec is None else f" + O(pi^{self.prec})"
         return f"<{body}{tail}>"
+
+
+def _normal(k, coeffs, shift, prec):
+    """A TruncSeries from parts already in its normal form (a tuple with
+    nonzero ends, none at or past prec, shift 0 when empty), built
+    without the constructor's strip pass."""
+    s = object.__new__(TruncSeries)
+    s.k = k
+    s.coeffs = coeffs
+    s.shift = shift
+    s.prec = prec
+    return s
 
 
 class EElem:

@@ -86,12 +86,13 @@ def build_order(ab):
     for i, alpha in enumerate(report.alpha, start=1):
         T[n - i][n - 1] = alpha if i % 2 == 1 else -alpha
     require(all(G[i][l].agrees_with(G[l][i])
-                for i in range(n) for l in range(n)),
+                for i in range(n) for l in range(i)),
             "Gram matrix is not symmetric")
+    # with G symmetric, T^t G = (G T)^t: term for term the same sums, so
+    # G T = T^t G exactly when G T is symmetric
     GT = mat_mul(G, T, zero)
-    TtG = mat_mul(mat_transpose(T), G, zero)
-    require(all(GT[i][l].agrees_with(TtG[i][l])
-                for i in range(n) for l in range(n)),
+    require(all(GT[i][l].agrees_with(GT[l][i])
+                for i in range(n) for l in range(i)),
             "T is not self-adjoint for the Gram pairing")
     return OrderData(n, T, G, report.val_delta, ab.desc)
 
@@ -197,24 +198,30 @@ def quotient_from_gram(G, mults, N, val_delta, desc):
             P_op[index[(j, f + 1)], x] = 1
 
     zero = TruncSeries.zero(k, N)
+    # Q reads S = U M^t U^-1 only where d_i, d_j > 0: the rows and
+    # columns from z on, the exponents being sorted
+    z = dexps.count(0)
+    U_live = U[z:]
+    Uinv_live = [row[z:] for row in Uinv]
+    live = dexps[z:]
     fq_ops = []
     for M in mults:
-        S = mat_mul(mat_mul(U, mat_transpose(M), zero), Uinv, zero)
+        S = mat_mul(mat_mul(U_live, mat_transpose(M), zero), Uinv_live, zero)
+        # S_ij carries O/pi^(d_j) into O/pi^(d_i) when val S_ij >= d_i - d_j
+        require(all(s.is_zero() or s.shift >= di - dj
+                    for row, di in zip(S, live) for s, dj in zip(row, live)),
+                "transported operator is not integral")
         op = space.zeros((v, v))
         for x, (i, e) in enumerate(gens):
             for y, (j, f) in enumerate(gens):
-                val = S[i][j].val()
-                require(val is None or val >= dexps[i] - dexps[j],
-                        "transported operator is not integral")
-                if e - f < dexps[i] - dexps[j]:
-                    continue
-                op[x, y] = S[i][j].coeff_at(e - f)
+                if e - f >= dexps[i] - dexps[j]:
+                    op[x, y] = S[i - z][j - z].coeff_at(e - f)
         fq_ops.append(op)
 
     Pi = mat_mul(mat_transpose(Uinv), V, zero)
     Pi = [[Pi[i][j].shifted(-dexps[j]) for j in range(n)] for i in range(n)]
     require(all(Pi[i][j].agrees_with(Pi[j][i])
-                for i in range(n) for j in range(n)),
+                for i in range(n) for j in range(i)),
             "torsion pairing matrix is not symmetric")
     pairing = space.zeros((v, v))
     for x, (i, e) in enumerate(gens):
@@ -222,15 +229,16 @@ def quotient_from_gram(G, mults, N, val_delta, desc):
             pairing[x, y] = Pi[i][j].coeff_at(-1 - e - f)
 
     ops = [P_op] + fq_ops
-    for A in ops:
-        for B in ops:
+    for a, A in enumerate(ops):
+        for B in ops[:a]:
             require(np.array_equal(space.matmul(A, B), space.matmul(B, A)),
                     "module operators do not commute")
     require(np.array_equal(pairing, pairing.T),
             "torsion pairing is not symmetric")
+    # with the pairing symmetric, M^t B = (B M)^t
     for M in ops:
-        require(np.array_equal(space.matmul(M.T, pairing),
-                               space.matmul(pairing, M)),
+        BM = space.matmul(pairing, M)
+        require(np.array_equal(BM, BM.T),
                 "torsion pairing is not equivariant")
     require(space.rank(pairing) == v, "torsion pairing is not perfect")
     T_op = fq_ops[0] if fq_ops else space.zeros((v, v))
@@ -296,7 +304,7 @@ def walk(space, dim, P, ops, slices=(), form=None, top=None):
     counted = 0
     eye = space.arr(np.eye(dim, dtype=np.int64))
     exact = bool(slices)
-    slices = [(cuts, np.stack(basis))
+    slices = [(cuts, np.array(basis))
               for cuts, basis in slices or [((), [eye])]]
     lines_of = {}
     seed = EchelonBasis(space, dim)
@@ -325,16 +333,18 @@ def walk(space, dim, P, ops, slices=(), form=None, top=None):
                 if Z.any():
                     M = space.matmul(space.right_nullspace(Z), K)
             # an F-basis w_1..w_c of M/S, kept as its images under basis
+            # (basis[0] is the identity: w itself)
             span = S.copy()
             W = []
             for w in M:
-                if span.contains(w):
+                if not span.insert(w):
                     continue
-                images = space.matmul(basis, w[:, None])[:, :, 0]
-                for x in images:
-                    require(span.insert(x),
-                            "slice basis is not a field on the candidates")
-                W.extend(images)
+                W.append(w)
+                if e > 1:
+                    for x in space.matmul(basis[1:], w[:, None])[:, :, 0]:
+                        require(span.insert(x),
+                                "slice basis is not a field on the candidates")
+                        W.append(x)
             if not W:
                 continue
             c = len(W) // e
@@ -345,7 +355,7 @@ def walk(space, dim, P, ops, slices=(), form=None, top=None):
                     f"budget of {cap}", estimate=counted)
             if (c, e) not in lines_of:
                 lines_of[c, e] = space.arr(list(_projective_tuples(c, q, e)))
-            lines = space.matmul(lines_of[c, e], np.stack(W))
+            lines = space.matmul(lines_of[c, e], np.array(W))
             if form is not None:
                 # necessary isotropy of the new line
                 lines = lines[space.dots(space.matmul(lines, form),
@@ -355,7 +365,7 @@ def walk(space, dim, P, ops, slices=(), form=None, top=None):
                 stack = [w]
                 while stack:
                     x = stack.pop()
-                    if node.insert(np.array(x)):
+                    if node.insert(x):
                         for A in ops:
                             stack.append(space.mat_vec(A, x))
                 if exact:

@@ -300,8 +300,8 @@ def test_generator_not_found_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_invariant_violation_is_not_bad_input(tmp_path, capsys, monkeypatch):
-    # a failed invariant is a bug in the package, so main lets it through
-    # with its traceback instead of exiting 2 as for bad input
+    # a failed invariant is a bug in the package: exit 4 with its
+    # traceback, neither 2 as for bad input nor 1 as for a failed identity
     inst = tmp_path / "inst.json"
     cli.main(["gen", "--n", "1", "--q", "3", "--ext", "inert",
               "--seed", "0", "--out", str(inst)])
@@ -311,5 +311,25 @@ def test_invariant_violation_is_not_bad_input(tmp_path, capsys, monkeypatch):
         raise InvariantViolation("torsion pairing is not perfect")
 
     monkeypatch.setattr(cli, "verify_count_identity", broken)
-    with pytest.raises(InvariantViolation):
-        cli.main(["verify", str(inst)])
+    rc = cli.main(["verify", str(inst)])
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):"), err
+    assert ("InvariantViolation: torsion pairing is not perfect"
+            in err.splitlines()[-1]), err
+
+
+def test_field_size_is_bounded_before_tables(tmp_path, capsys):
+    # q >= 512 is refused as bad input before any q x q table is built
+    p = tmp_path / "q1021.json"
+    p.write_text(json.dumps({"q": 1021, "ext": "split", "n": 1,
+                             "a": [], "b": []}))
+    for argv in (["verify", str(p)],
+                 ["gen", "--n", "1", "--q", "521", "--ext", "split"],
+                 ["sweep", "--n", "1", "--q", "521", "--ext", "inert",
+                  "--max-val", "1", "--count", "1", "--seed", "0"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: q:"), captured.err
+        assert captured.out == ""

@@ -31,6 +31,16 @@ def test_field_desc_rejects_bad_inputs():
         field_desc(3, "ramified")
 
 
+def test_field_desc_bounds_q_before_building_tables():
+    from orbitcount.gf import gf_table
+    assert field_desc(509, "split").q == 509
+    before = gf_table.cache_info().currsize
+    for q in (512, 521, 1021, 3 ** 6):
+        with pytest.raises(SchemaError, match="q: .*below 512"):
+            field_desc(q, "inert")
+    assert gf_table.cache_info().currsize == before
+
+
 # the same cases with asserts stripped: even q must still be refused
 REJECT_BAD_INPUTS = """
 from orbitcount.errors import SchemaError
@@ -105,6 +115,120 @@ def test_series_inverse():
     lau = pi.inv(laurent=True)
     assert lau.val() == -1
     assert (pi * lau).agrees_with(one)
+
+
+# -- slow oracle for the series kernel -------------------------------
+#
+# The loops below are the plain reference the fast ring operations are
+# checked against: every coefficient placed by index, the precision
+# joined by hand, every result normalized by one strip pass.  They return
+# (coeffs, shift, prec) triples, compared field by field.
+
+
+def _ref_normal(coeffs, shift, prec):
+    coeffs = list(coeffs)
+    if prec is not None and shift + len(coeffs) > prec:
+        del coeffs[max(prec - shift, 0):]
+    i, n = 0, len(coeffs)
+    while i < n and coeffs[i] == 0:
+        i += 1
+    j = n
+    while j > i and coeffs[j - 1] == 0:
+        j -= 1
+    return tuple(coeffs[i:j]), (shift + i if j > i else 0), prec
+
+
+def _ref_join(x, y):
+    if x.prec is None:
+        return y.prec
+    if y.prec is None:
+        return x.prec
+    return min(x.prec, y.prec)
+
+
+def _ref_add(x, y, table):
+    prec = _ref_join(x, y)
+    starts = [s.shift for s in (x, y) if s.coeffs] or [0]
+    ends = [s.shift + len(s.coeffs) for s in (x, y) if s.coeffs] or [0]
+    lo, hi = min(starts), max(ends)
+    if prec is not None:
+        hi = min(hi, prec)
+    out = [0] * max(hi - lo, 0)
+    for i, c in enumerate(x.coeffs):
+        p = x.shift + i - lo
+        if 0 <= p < len(out):
+            out[p] = c
+    for i, c in enumerate(y.coeffs):
+        p = y.shift + i - lo
+        if 0 <= p < len(out):
+            out[p] = table[out[p]][c]
+    return _ref_normal(out, lo, prec)
+
+
+def _ref_neg(x):
+    return _ref_normal([x.k.neg[c] for c in x.coeffs], x.shift, x.prec)
+
+
+def _ref_scaled(x, c):
+    return _ref_normal([x.k.mul[c][a] for a in x.coeffs], x.shift, x.prec)
+
+
+def _ref_mul(x, y):
+    if x.prec is None and y.prec is None:
+        prec = None
+    else:
+        # an exact zero factor counts as valuation 0, as TruncSeries does
+        vx = x.shift if x.coeffs else (x.prec or 0)
+        vy = y.shift if y.coeffs else (y.prec or 0)
+        cands = []
+        if y.prec is not None:
+            cands.append(vx + y.prec)
+        if x.prec is not None:
+            cands.append(vy + x.prec)
+        prec = min(cands)
+    k = x.k
+    out = [0] * (len(x.coeffs) + len(y.coeffs))
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] = k.add[out[i + j]][k.mul[a][b]]
+    return _ref_normal(out, x.shift + y.shift, prec)
+
+
+def _triple(s):
+    return s.coeffs, s.shift, s.prec
+
+
+def _random_series(rng, k):
+    """Exact or truncated, zero or not, at shifts from -3 to 4."""
+    kind = rng.randrange(6)
+    shift = rng.randrange(-3, 5)
+    prec = None if kind % 2 == 0 else shift + rng.randrange(-2, 6)
+    if kind < 2:
+        return TruncSeries(k, (), 0, prec)
+    coeffs = [rng.randrange(k.q) for _ in range(rng.randrange(1, 6))]
+    coeffs[0] = rng.randrange(1, k.q)
+    return TruncSeries(k, coeffs, shift, prec)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_series_ops_match_slow_reference(q):
+    import random
+    k = gf_by_order(q)
+    rng = random.Random(q)
+    kinds = set()
+    for _ in range(1500):
+        x, y = _random_series(rng, k), _random_series(rng, k)
+        kinds.add((bool(x.coeffs), x.prec is None, bool(y.coeffs),
+                   y.prec is None))
+        assert _triple(x + y) == _ref_add(x, y, k.add), (x, y)
+        assert _triple(x - y) == _ref_add(x, y, k.sub), (x, y)
+        assert _triple(x * y) == _ref_mul(x, y), (x, y)
+        assert _triple(-x) == _ref_neg(x), x
+        c = rng.randrange(q)
+        assert _triple(x.scaled(c)) == _ref_scaled(x, c), (x, c)
+        assert x.agrees_with(y) == (not _ref_add(x, y, k.sub)[0])
+    # every pairing of exact/truncated and zero/nonzero operands came up
+    assert len(kinds) == 16
 
 
 def _exact_series(k):

@@ -381,6 +381,34 @@ except InvariantViolation as exc:
     print("raised:", exc)
 """
 
+# alpha_1 moved by 1, G kept: G T - (G T)^t gains r_1 (a nonzero moment
+# of this pair) off the diagonal, so T is no longer self-adjoint for G
+NOT_SELF_ADJOINT = _INSTANCE + """
+import orbitcount.order_lattices as ol
+real = ol.strong_regularity
+
+def skewed(ab):
+    report = real(ab)
+    report.alpha = [report.alpha[0] + TruncSeries.one(k)] + report.alpha[1:]
+    return report
+
+ol.strong_regularity = skewed
+try:
+    build_order(rand_invariants(2, desc, 2, seed=0))
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+# the projection alone as the module generator: P = 0 commutes with it,
+# but it is not self-adjoint for the torsion pairing
+NOT_EQUIVARIANT = _INSTANCE + """
+proj = [[one, zero], [zero, zero]]
+try:
+    quotient_from_gram(order.G, [proj], 10, order.val_delta, desc)
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
 
 # Q = k^2 where T has the two linear factors x and x - 4, so the count
 # splits Q into two blocks of dimension 1; the quotients below are
@@ -413,11 +441,30 @@ except InvariantViolation as exc:
 MIXING_OP = _TWO_BLOCKS + "ops.append(mix)" + _COUNT_BAD
 MIXING_SHEET = _TWO_BLOCKS + "pairing = mix + mix.T" + _COUNT_BAD
 
+# the same extra op, lifted to Q_E: its Hermitian form is diagonal over
+# the blocks, so an op carrying one block into the other breaks it
+HERMITIAN_NOT_EQUIVARIANT = _TWO_BLOCKS + """
+from orbitcount.hermitian import build_hermitian_quotient
+bad = FiniteQuotient(Q.v, Q.space, Q.P_op, Q.T_op, ops + [mix], pairing,
+                     Q.desc)
+try:
+    build_hermitian_quotient(None, Q.desc, None, fq=bad)
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("script,message", [
     pytest.param(IDENTITY_AS_T, "does not generate", id="identity-as-T"),
     pytest.param(NON_COMMUTING, "do not commute", id="non-commuting"),
+    pytest.param(NOT_SELF_ADJOINT, "T is not self-adjoint",
+                 id="not-self-adjoint"),
+    pytest.param(NOT_EQUIVARIANT, "torsion pairing is not equivariant",
+                 id="not-equivariant"),
+    pytest.param(HERMITIAN_NOT_EQUIVARIANT,
+                 "Hermitian form is not equivariant",
+                 id="hermitian-not-equivariant"),
     pytest.param(MIXING_OP, "not block-diagonal", id="mixing-op"),
     pytest.param(MIXING_SHEET, "not block-diagonal", id="mixing-sheet"),
 ])

@@ -24,9 +24,15 @@ import traceback
 from .errors import (BudgetExceeded, InvariantViolation, OrbitCountError,
                      SchemaError)
 from .local_field import field_desc
-from .verify import (SCHEMA_VERSION, instance_from_obj, instance_to_obj,
-                     oracle_checks, rand_group_instance, rand_invariants,
-                     sweep, verify_count_identity, verify_group_identity)
+from .verify import (PRECISION_CAP, SCHEMA_VERSION, instance_from_obj,
+                     instance_to_obj, oracle_checks, rand_group_instance,
+                     rand_invariants, sweep, verify_count_identity,
+                     verify_group_identity)
+
+# (least, greatest) value of each integer option, None for no bound
+_BOUNDS = {"n": (1, None), "count": (1, None), "jobs": (1, None),
+           "precision": (1, PRECISION_CAP), "max_val": (0, None),
+           "target_val": (0, None)}
 
 
 def _parser():
@@ -87,6 +93,7 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if e.code in (None, 0) else 2
     try:
+        _check_bounds(args)
         return args.func(args)
     except BudgetExceeded as e:
         print(f"error: budget exceeded: {e}", file=sys.stderr)
@@ -120,7 +127,6 @@ def _write_text(path, text):
 
 
 def _cmd_verify(args):
-    _positive(args, "precision")
     ab, mode = _load_instance(args.instance)
     if mode == "group":
         verdict = verify_group_identity(ab, precision=args.precision)
@@ -130,21 +136,20 @@ def _cmd_verify(args):
     return 0 if verdict.passed else 1
 
 
-def _positive(args, *names):
-    """SchemaError unless each named option, when given, is at least 1."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            raise SchemaError(name, "expected a positive integer")
-
-
-def _nonnegative(args, *names):
-    """SchemaError unless each named option, when given, is at least 0."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 0:
+def _check_bounds(args):
+    """SchemaError unless each integer option given lies in its _BOUNDS,
+    checked before any work."""
+    for name, (low, high) in _BOUNDS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if value < low:
+            kind = "positive" if low else "nonnegative"
             raise SchemaError(name.replace("_", "-"),
-                              "expected a nonnegative integer")
+                              f"expected a {kind} integer")
+        if high is not None and value > high:
+            raise SchemaError(name.replace("_", "-"),
+                              f"expected at most {high}")
 
 
 def _cell(x):
@@ -171,8 +176,6 @@ def _rows_to_csv(rows, max_val):
 
 
 def _cmd_sweep(args):
-    _positive(args, "n", "count", "jobs", "precision")
-    _nonnegative(args, "max_val")
     field_desc(args.q, args.ext)
     rows = sweep(args.n, args.q, args.ext, args.max_val, args.count,
                  args.seed, precision=args.precision, jobs=args.jobs)
@@ -182,8 +185,6 @@ def _cmd_sweep(args):
 
 
 def _cmd_gen(args):
-    _positive(args, "n")
-    _nonnegative(args, "target_val")
     desc = field_desc(args.q, args.ext)
     if args.mode == "group":
         if args.family != "generic" or args.target_val is not None:
@@ -199,7 +200,6 @@ def _cmd_gen(args):
 
 
 def _cmd_oracle(args):
-    _positive(args, "precision")
     ab, mode = _load_instance(args.instance)
     ok, lines = oracle_checks(ab, mode, precision=args.precision)
     print("\n".join(lines))

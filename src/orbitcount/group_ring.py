@@ -199,29 +199,30 @@ def build_group_order(ab, N):
         require(all(c1.agrees_with(c2) for c1, c2 in zip(w, tw)),
                 "a fixed-ring basis element is not fixed by theta")
 
-    # each product w_i w_r once: b' of it is G[i][r], and its
-    # w-coordinates are column r of mult_ops[i]
-    G = []
-    mult_ops = []
+    # each product w_i w_r once for i <= r, the ring being commutative
+    # and its series arithmetic exact: b' of it is G[i][r] = G[r][i], and
+    # its w-coordinates are column r of mult_ops[i] and column i of
+    # mult_ops[r]
+    G = [[None] * n for _ in range(n)]
+    coords = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        cols = []
-        for r in range(n):
+        for r in range(i, n):
             prod = _poly_mul_mod(basis_polys[i], basis_polys[r], ab)
             val = _bprime(prod, ab)
             require(_vanishes(val.im), "Gram entry of the fixed ring is not real")
-            row.append(val.re)
-            cols.append(_fixed_coords(prod, U, desc, N))
-        G.append(row)
-        mult_ops.append([[cols[r][i2] for r in range(n)] for i2 in range(n)])
+            G[i][r] = G[r][i] = val.re
+            coords[i][r] = coords[r][i] = _fixed_coords(prod, U, desc, N)
+    mult_ops = [[[coords[i][r][l] for r in range(n)] for l in range(n)]
+                for i in range(n)]
     require(all(G[i][r].agrees_with(G[r][i])
-                for i in range(n) for r in range(n)),
+                for i in range(n) for r in range(i)),
             "Gram matrix of the fixed ring is not symmetric")
+    # with G symmetric, M^t G = (G M)^t, so M is self-adjoint exactly
+    # when G M is symmetric
     for M in mult_ops:
         GM = mat_mul(G, M, sz)
-        MtG = mat_mul(mat_transpose(M), G, sz)
-        require(all(GM[i][r].agrees_with(MtG[i][r])
-                    for i in range(n) for r in range(n)),
+        require(all(GM[i][r].agrees_with(GM[r][i])
+                    for i in range(n) for r in range(i)),
                 "multiplication is not self-adjoint for the Gram pairing")
     val_delta = regular_val(mat_det(G, sz, so), ab,
                             "Gram determinant of the fixed ring")

@@ -14,7 +14,7 @@ j^2 is not a square; on the others hermitian pairs the stable walk's
 nodes, which each block keeps (submodules).  Both walks step
 by simple extensions, one line over a residue field k[T]/(g) per
 irreducible factor g of T's minimal polynomial; the quotient builds
-those slices from T with fqpoly's factoring on first use.
+those slices from T with fqpoly's factoring where a walk reads them.
 
 The ring R = O_F[t]/P_a is complete and semilocal, so it is the
 product of its localizations R_g, one per factor g, and Q splits with
@@ -110,9 +110,10 @@ class FiniteQuotient:
     factors g of T's minimal polynomial, slices the walk slices
     ([g(T)], [T^0, .., T^(deg g - 1)]) in the same order, and blocks
     the quotients Q_g (just [Q] with one factor), and submodules a
-    block's stable subspaces, from one walk; all four are built on first
-    use, so a quotient that is never walked skips them, and both counts
-    read one walk of each block.
+    block's stable subspaces, from one walk.  All four are built on
+    first read, so a quotient that is never walked skips them, and both
+    counts read one walk of each block.  With several factors only the
+    listers read Q's own slices; a count reads each block's.
     """
 
     __slots__ = ("v", "space", "P_op", "T_op", "ops", "pairing", "desc",
@@ -132,20 +133,20 @@ class FiniteQuotient:
         self._blocks = None
         self._submodules = None
 
-    def _residues(self):
-        """(factors, slices), from one _residue_slices call on first use."""
-        if self._factors is None:
-            self._factors, self._slices = _residue_slices(self.space,
-                                                          self.T_op)
-        return self._factors, self._slices
-
     @property
     def factors(self):
-        return self._residues()[0]
+        if self._factors is None:
+            self._factors = (irreducible_factors(
+                _matrix_min_poly(self.space, self.T_op), self.space.k)
+                if self.v else [])
+        return self._factors
 
     @property
     def slices(self):
-        return self._residues()[1]
+        if self._slices is None:
+            self._slices = [_factor_slice(self.space, g, self.T_op)
+                            for g in self.factors]
+        return self._slices
 
     @property
     def blocks(self):
@@ -401,15 +402,6 @@ def _projective_tuples(c, q, e=1):
 
 # -- slices and blocks: the residue fields of T ----------------------
 
-def _residue_slices(space, T):
-    """(factors, slices) of T: the distinct monic irreducible factors g
-    of its minimal polynomial and their walk slices."""
-    if not len(T):
-        return [], []
-    factors = irreducible_factors(_matrix_min_poly(space, T), space.k)
-    return factors, [_factor_slice(space, g, T) for g in factors]
-
-
 def _factor_slice(space, g, T):
     """The walk slice ([g(T)], [T^0, .., T^(f-1)]) of a factor g of
     degree f, the cut left out when g(T) = 0.  On ker g(T) the basis
@@ -430,10 +422,11 @@ def _primary_blocks(Q):
     operator to B^-1 A B and the stored sheet H to B^t H B.  The
     operators commute with T, so they keep each kernel, and the kernels
     are orthogonal, so both come out block-diagonal; the check is
-    explicit, as is the check that g(T) is nilpotent on Q_g, without
-    which the walk on Q_g, given g's slice only, would miss the other
-    factors.  A block's sheet r is again its B P^(r-1): both factors are
-    restrictions of block-diagonal matrices.
+    explicit, as is the check that g(T) is nilpotent on Q_g, read off
+    the cut of the block's slice, without which the walk on Q_g, given
+    g's slice only, would miss the other factors.  A block's sheet r is
+    again its B P^(r-1): both factors are restrictions of block-diagonal
+    matrices.
     """
     space, v = Q.space, Q.v
     kernels = [space.right_nullspace(
@@ -461,11 +454,13 @@ def _primary_blocks(Q):
     for g, s in zip(Q.factors, spans):
         d = s.stop - s.start
         Tg = ops[1][s, s]
-        require(not _mat_pow(space, _poly_apply(space, g, Tg), d).any(),
+        cuts, powers = _factor_slice(space, g, Tg)
+        # a cut left out of the slice is g(T_g) = 0, nilpotent already
+        require(not cuts or not _mat_pow(space, cuts[0], d).any(),
                 "a block of Q sees more than its own factor of T")
         blocks.append(FiniteQuotient(
             d, space, ops[0][s, s], Tg, [M[s, s] for M in ops], form[s, s],
-            Q.desc, [g], [_factor_slice(space, g, Tg)]))
+            Q.desc, [g], [(cuts, powers)]))
     return blocks
 
 

@@ -637,6 +637,8 @@ def instance_from_obj(obj):
         raise SchemaError("ext", "expected 'split' or 'inert'")
     desc = field_desc(q, ext)
     for key, want in (("p", desc.p), ("m", desc.m)):
+        if key in obj and not is_json_int(obj[key]):
+            raise SchemaError(key, "expected an integer")
         if key in obj and obj[key] != want:
             raise SchemaError(key, f"inconsistent with q={q}: expected {want}")
     n = obj["n"]

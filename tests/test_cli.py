@@ -231,6 +231,38 @@ def test_rejects_nonpositive_precision(tmp_path, capsys, command, precision):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle", "sweep"])
+@pytest.mark.parametrize("precision", ["257", "50000"])
+def test_rejects_precision_past_cap_before_work(tmp_path, capsys,
+                                                monkeypatch, command,
+                                                precision):
+    # past the cap a verdict could run for minutes: refused before the
+    # instance is read or any row drawn
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "--n", "1", "--q", "3", "--ext", "inert",
+              "--target-val", "2", "--out", str(inst)])
+    for name in ("verify_count_identity", "verify_group_identity",
+                 "oracle_checks", "sweep"):
+        monkeypatch.setattr(cli, name, None)
+    args = ([command, str(inst)] if command != "sweep" else
+            ["sweep", "--n", "1", "--q", "3", "--ext", "inert", "--max-val",
+             "2", "--count", "1", "--seed", "0"])
+    capsys.readouterr()
+    assert cli.main(args + ["--precision", precision]) == 2
+    captured = capsys.readouterr()
+    assert "error: precision: expected at most 256" in captured.err
+    assert captured.out == ""
+
+
+def test_precision_at_cap_accepted(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "--n", "1", "--q", "3", "--ext", "inert",
+              "--target-val", "1", "--out", str(inst)])
+    capsys.readouterr()
+    assert cli.main(["verify", str(inst), "--precision", "256"]) == 0
+    assert json.loads(capsys.readouterr().out)["precision"] == 256
+
+
 def test_gen_rejects_negative_target_before_drawing(capsys, monkeypatch):
     draws = []
     monkeypatch.setattr(cli, "rand_invariants",

@@ -244,8 +244,8 @@ def test_generator_search_order_and_cap(monkeypatch, n, tries):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_group_order_poly_products_bounded(monkeypatch, n):
-    # t^(-l) for 0 < l < n and the n^2 products w_i w_r; the generator
-    # search reads mult_ops and multiplies no polynomial
+    # t^(-l) for 0 < l < n and the n(n+1)/2 products w_i w_r, i <= r;
+    # the generator search reads mult_ops and multiplies no polynomial
     calls = [0]
     mul = group_ring._poly_mul_mod
 
@@ -259,7 +259,7 @@ def test_group_order_poly_products_bounded(monkeypatch, n):
             ab = rand_group_instance(n, desc, seed=seed)
             calls[0] = 0
             build_group_order(ab, auto_precision(n))
-            assert calls[0] <= n - 1 + n * n
+            assert calls[0] <= n - 1 + n * (n + 1) // 2
 
 
 # a unit added to one Gram entry breaks the transport's Gram congruence

@@ -241,6 +241,28 @@ def test_blocks_built_on_first_use():
     assert QE._slices is None
 
 
+def test_slices_built_only_where_a_walk_reads_them(monkeypatch):
+    # T has two linear residual factors: a verdict walks each block with
+    # the block's own slice and never reads Q's, while the whole-Q
+    # lister does
+    calls = [0]
+    real = order_lattices._factor_slice
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(order_lattices, "_factor_slice", counted)
+    ab = rand_invariants(2, field_desc(5, "split"), 2, seed=3)
+    verdict = verify_count_identity(ab)
+    Q = verdict.quotient
+    assert (verdict.m, verdict.N) == ([1, 2, 1], 4)
+    assert len(Q.factors) == 2 and Q._slices is None
+    assert calls[0] == 2
+    assert len(stable_submodules(Q)) == 4
+    assert Q._slices is not None and calls[0] == 4
+
+
 def test_torsion_duality_involution():
     ab = rand_invariants(2, inert3, target_val_delta=4, seed=9)
     Q = build_quotient(build_order(ab), 12)
@@ -453,6 +475,29 @@ except InvariantViolation as exc:
     print("raised:", exc)
 """
 
+# one added to the first w-coordinate of every product w_i w_r: the
+# multiplication matrices move while G does not, so G M is no longer
+# symmetric
+GROUP_NOT_SELF_ADJOINT = """
+from orbitcount.errors import InvariantViolation
+from orbitcount.local_field import TruncSeries, field_desc
+from orbitcount.verify import rand_group_instance
+import orbitcount.group_ring as gr
+
+real = gr._fixed_coords
+
+def shifted(poly, U, desc, N):
+    y = real(poly, U, desc, N)
+    return [y[0] + TruncSeries.one(desc.k, N)] + y[1:]
+
+ab = rand_group_instance(2, field_desc(3, "inert"), seed=1)
+gr._fixed_coords = shifted
+try:
+    gr.build_group_order(ab, 10)
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("script,message", [
@@ -467,6 +512,9 @@ except InvariantViolation as exc:
                  id="hermitian-not-equivariant"),
     pytest.param(MIXING_OP, "not block-diagonal", id="mixing-op"),
     pytest.param(MIXING_SHEET, "not block-diagonal", id="mixing-sheet"),
+    pytest.param(GROUP_NOT_SELF_ADJOINT,
+                 "multiplication is not self-adjoint for the Gram pairing",
+                 id="group-not-self-adjoint"),
 ])
 def test_invariant_checks_survive_optimize(flags, script, message):
     src = os.path.dirname(os.path.dirname(orbitcount.__file__))

@@ -308,6 +308,17 @@ BOOL_FIELDS = [
 ]
 
 
+@pytest.mark.parametrize("key,value", [("p", True), ("p", 3.0),
+                                       ("m", True), ("m", 1.0)])
+def test_instance_schema_rejects_non_integer_p_m(key, value):
+    # q = 3 has p = 3 and m = 1, and True == 1, 3.0 == 3 and 1.0 == 1,
+    # so only a type check refuses these
+    obj = instance_to_obj(rand_invariants(1, inert3, 1, seed=1))
+    obj[key] = value
+    with pytest.raises(SchemaError, match=f"^{key}: expected an integer$"):
+        instance_from_obj(obj)
+
+
 @pytest.mark.parametrize("field,path", BOOL_FIELDS,
                          ids=[f for f, _ in BOOL_FIELDS])
 def test_instance_schema_rejects_booleans(field, path):

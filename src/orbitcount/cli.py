@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 the identity fails, 2 bad input or usage,
 3 enumeration budget exceeded, 4 an internal invariant failed (a bug,
 reported with its traceback on stderr).  The environment variable
 ORBITAL_BUDGET caps the candidate lines of each subspace walk and the
-subspace count of the naive scans.
+candidate count of the naive scans.
 """
 
 import argparse

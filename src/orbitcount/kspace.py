@@ -239,31 +239,66 @@ def gaussian_binomial(n, d, q):
 RREF_BATCH = 2048
 
 
-def iter_rref_bases(space, n, d):
-    """All d-dimensional subspaces of k^n, one RREF basis each, in batches.
+def _rref_cells(n, piv, row=0, col=0):
+    """The free cells (row, column) of a reduced echelon basis of k^n with
+    pivot columns piv, shifted by row and col: right of each row's pivot
+    and outside every pivot column."""
+    return [(row + r, col + c) for r, p in enumerate(piv) for c in range(n)
+            if c > p and c not in piv]
 
-    Yields (W, pivots) with W of shape (batch, d, n), batch at most
-    RREF_BATCH.  Every subspace has exactly one reduced echelon basis, so
-    the enumeration is duplicate-free.
-    """
+
+def _filled_bases(space, shape, piv, free):
+    """Every (rows, cols) matrix with 1 at column piv[r] of each row r, any
+    entry at the cells free and 0 elsewhere, in batches of at most
+    RREF_BATCH."""
     q = space.q
-    if d == 0:
-        yield space.zeros((1, 0, n)), ()
-        return
+    total = q ** len(free)
+    for start in range(0, total, RREF_BATCH):
+        cnt = min(RREF_BATCH, total - start)
+        idx = np.arange(start, start + cnt, dtype=np.int64)
+        W = space.zeros((cnt,) + shape)
+        for r, c in enumerate(piv):
+            W[:, r, c] = 1
+        for t, (r, c) in enumerate(free):
+            W[:, r, c] = (idx // q ** t) % q
+        yield W
+
+
+def iter_rref_bases(space, n, d, symbols=1):
+    """All d-dimensional subspaces of K^n, one RREF basis each, in batches.
+
+    K is k when symbols is 1.  With symbols = s each entry is s symbols
+    over k, and a row is laid out as s blocks of n: symbol t of entry c
+    sits at column t n + c.  For s = 2 that is F_(q^2) = k + j k with a
+    row w = wr + j wi stored as (wr | wi); the enumeration never
+    multiplies, so it needs no table of K.  Yields (W, pivots) with W of
+    shape (batch, d, s n), batch at most RREF_BATCH.  Every subspace has
+    exactly one reduced echelon basis, so the enumeration is
+    duplicate-free.
+    """
     for piv in combinations(range(n), d):
-        free = [(r, c) for r in range(d) for c in range(n)
-                if c > piv[r] and c not in piv]
-        f = len(free)
-        total = q ** f
-        for start in range(0, total, RREF_BATCH):
-            cnt = min(RREF_BATCH, total - start)
-            idx = np.arange(start, start + cnt, dtype=np.int64)
-            W = space.zeros((cnt, d, n))
-            for r, c in zip(range(d), piv):
-                W[:, r, c] = 1
-            for t, (r, c) in enumerate(free):
-                W[:, r, c] = (idx // q ** t) % q
+        free = [cell for t in range(symbols)
+                for cell in _rref_cells(n, piv, col=t * n)]
+        for W in _filled_bases(space, (d, symbols * n), piv, free):
             yield W, piv
+
+
+def iter_sum_bases(space, n):
+    """All subspaces A + A' of k^n + k^n, A in the first summand and A' in
+    the second, with dim A + dim A' = n, in batches.
+
+    Their bases are block diagonal, the RREF basis of A above that of A',
+    so each is the subspace's own RREF basis with pivots piv(A) followed
+    by n + piv(A').  Yields (W, pivots) with W of shape (batch, n, 2n);
+    candidates of one pivot pair share batches of up to RREF_BATCH.
+    """
+    for a in range(n + 1):
+        for pa in combinations(range(n), a):
+            for pb in combinations(range(n), n - a):
+                piv = pa + tuple(n + c for c in pb)
+                free = _rref_cells(n, pa) + _rref_cells(n, pb, a, n)
+                for W in _filled_bases(space, (n, 2 * n), piv, free):
+                    yield W, piv
 
 
 def batch_stable_mask(space, W, piv, M):

@@ -252,7 +252,7 @@ def build_quotient(order, N):
 
 def _work_budget():
     """Cap on the candidate lines of one walk, and on the naive scan's
-    subspace count: ORBITAL_BUDGET, else 4,000,000.  The counts walk
+    candidate count: ORBITAL_BUDGET, else 4,000,000.  The counts walk
     each block of a quotient on its own, so for them it caps each
     block's stable walk and, on a block where j^2 is not a square, the
     walk of its double.  The self-dual count of the other blocks pairs

@@ -10,6 +10,7 @@ lists its candidate lattices with the same subspace walk, so the naive
 scan is what checks that walk.
 """
 
+import os
 import random
 import time
 
@@ -26,7 +27,7 @@ from .invariants import (InvariantPair, MatrixE, char_poly_disc,
                          delta_invariant, invariants_of, strong_regularity,
                          v_invariant)
 from .kspace import (KSpace, batch_form_vanishes, batch_stable_mask,
-                     gaussian_binomial, iter_rref_bases)
+                     gaussian_binomial, iter_rref_bases, iter_sum_bases)
 from .local_field import (EElem, TruncSeries, eelem_to_obj, eta, field_desc,
                           j_power)
 from .order_lattices import (_work_budget, build_order, build_quotient,
@@ -255,7 +256,7 @@ def dvr_closed_form(d, residue_deg, desc):
 
 
 def naive_subspace_oracle(Q):
-    """Exhaustive recount over all echelon bases, using nothing from the walk.
+    """Exhaustive recount over echelon bases, using nothing from the walk.
 
     For a plain quotient returns the full bucket list m_0..m_v by
     scanning every subspace of every dimension and keeping those stable
@@ -263,43 +264,88 @@ def naive_subspace_oracle(Q):
     self-dual count: dimension-v subspaces that are stable and on which
     every sheet of the Hermitian form vanishes, all 2v of them derived
     from the stored pair (re P^r and im P^r, r < v), not only the one
-    sheet the walk reads.  Every subspace is enumerated
-    and meets the first test (P); a candidate is dropped at the first
-    operator or sheet that rejects it, so later tests run on the
-    survivors only.  The scan is exponential, so it refuses up front
-    when the subspace count exceeds the node budget.
+    sheet the walk reads.  A self-dual lattice is an O_E-module, so it is
+    a k_E-subspace of Q_E (k_E = F_(q^2) inert, k x k split), and the
+    scan enumerates those alone (_selfdual_candidates) and loses
+    nothing.  Every operator test, J's included, still runs on each of
+    them, so the J test rechecks that enumeration.  A candidate is
+    dropped at the first operator or sheet that rejects it, so later
+    tests run on the survivors only.  The scan is exponential, so it
+    refuses up front when its candidates, subspaces of Q or
+    O_E-submodules of Q_E, exceed the node budget.
     """
+    space, v = Q.space, Q.v
+    q = space.q
     herm = hasattr(Q, "herm_re")
-    tot = 2 * Q.v if herm else Q.v
-    dims = [Q.v] if herm else range(tot + 1)
-    total = sum(gaussian_binomial(tot, d, Q.space.k.q) for d in dims)
+    if not herm:
+        total = sum(gaussian_binomial(v, d, q) for d in range(v + 1))
+    elif Q.desc.is_split:
+        total = sum(gaussian_binomial(v, a, q) * gaussian_binomial(v, v - a, q)
+                    for a in range(v + 1))
+    else:
+        total = gaussian_binomial(v, v // 2, q * q) if v % 2 == 0 else 0
     if total > _work_budget():
         raise BudgetExceeded(
-            f"naive subspace scan over dimension {tot} refused",
-            estimate=total)
-    space = Q.space
-    if tot == 0:
+            f"naive subspace scan over dimension {2 * v if herm else v} "
+            f"refused", estimate=total)
+    if v == 0:
         return 1 if herm else [1]
 
-    sheets = (form_sheets(space, Q.herm_re, Q.P_op, Q.v)
-              + form_sheets(space, Q.herm_im, Q.P_op, Q.v)) if herm else []
-
-    def stable_counts(d):
-        hits = 0
-        for W, piv in iter_rref_bases(space, tot, d):
-            for op in Q.ops:
+    def hits(batches, ops, sheets=()):
+        count = 0
+        for W, piv in batches:
+            for op in ops:
                 W = W[batch_stable_mask(space, W, piv, op)]
             for sheet in sheets:
                 W = W[batch_form_vanishes(space, W, sheet)]
-            hits += len(W)
-        return hits
+            count += len(W)
+        return count
 
-    if herm:
-        return stable_counts(Q.v)
-    m = [0] * (Q.v + 1)
-    for d in range(Q.v + 1):
-        m[Q.v - d] = stable_counts(d)
-    return m
+    if not herm:
+        return [hits(iter_rref_bases(space, v, v - i), Q.ops)
+                for i in range(v + 1)]
+    return hits(*_selfdual_candidates(Q))
+
+
+def _selfdual_candidates(Q):
+    """(batches, ops, sheets): the O_E-submodules of dimension v of Q_E,
+    yielded as (W, piv) with the identity at the columns piv, and Q_E's
+    operators and 2v sheets in the coordinates of W.
+
+    Inert, those are Q_E's own, x = xr + j xi.  The candidates are the
+    (v/2)-dimensional F_(q^2)-subspaces of F_(q^2)^v, one RREF basis
+    each, whose row w = (wr | wi) stands for the k-rows w and
+    j w = (d wi | wr) with d = j^2; there are none when v is odd.  Split
+    (j^2 = 1), y = x C with C = (1/2) [[I, I], [I, -I]] takes the
+    eigenspaces of J to the two halves, so the candidates are the sums
+    A + A' of subspaces of Q with dim A + dim A' = v.  Rows map by
+    M^t, so an operator M becomes C^t M C^-t and a sheet H becomes
+    C^-1 H C^-t.
+    """
+    space, v = Q.space, Q.v
+    ops = Q.ops
+    sheets = (form_sheets(space, Q.herm_re, Q.P_op, v)
+              + form_sheets(space, Q.herm_im, Q.P_op, v))
+    if Q.desc.is_split:
+        eye = np.eye(v, dtype=np.int64)
+        C_inv = np.block([[eye, eye], [eye, space.neg(eye)]])
+        C = space.mul(C_inv, space.k.inv[int(space.add(1, 1))])
+        ops = [space.matmul(space.matmul(C.T, M), C_inv.T) for M in ops]
+        sheets = [space.matmul(space.matmul(C_inv, H), C_inv.T)
+                  for H in sheets]
+        return iter_sum_bases(space, v), ops, sheets
+    if v % 2:
+        return (), ops, sheets
+    d = Q.desc.jsq
+
+    def with_j(W):
+        # at the columns piv + (v + piv) the rows w and j w are the identity
+        jW = np.concatenate([space.mul(W[..., v:], d), W[..., :v]], axis=2)
+        return np.concatenate([W, jW], axis=1)
+
+    batches = ((with_j(W), piv + tuple(v + c for c in piv))
+               for W, piv in iter_rref_bases(space, v, v // 2, symbols=2))
+    return batches, ops, sheets
 
 
 def matrix_orbit_oracle(A):
@@ -666,12 +712,16 @@ def sweep(n, q, ext, max_val, count, seed, precision=None, jobs=1):
 
     Per-row seeds derive deterministically from the base seed; draws
     whose target valuation is unreachable advance a retry counter so the
-    batch always delivers `count` rows with reproducible content.
+    batch always delivers `count` rows with reproducible content.  Rows
+    run in min(jobs, count, cpu count) worker processes, in this process
+    when that is 1: a pool forks all its workers at the first submit, so
+    jobs alone must not size it.
     """
     tasks = list(range(count))
-    if jobs and jobs > 1:
+    workers = min(jobs or 1, count, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
                 _sweep_row,
                 [(n, q, ext, max_val, seed, i, precision) for i in tasks]))

@@ -133,6 +133,21 @@ def test_oracle_lie_agreement(tmp_path, capsys):
     assert text.rstrip().endswith("agreement: all applicable oracles agree")
 
 
+def test_oracle_scans_readme_instance(tmp_path, capsys):
+    """The README's oracle example: at v = 4 over q = 3, inert, the
+    self-dual scan walks the 7,462 O_E-submodules of Q_E and runs."""
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "--n", "2", "--q", "3", "--ext", "inert",
+              "--seed", "7", "--target-val", "4", "--out", str(inst)])
+    capsys.readouterr()
+    rc = cli.main(["oracle", str(inst)])
+    text = capsys.readouterr().out
+    assert rc == 0
+    assert "verdict: v=4 m=[1, 0, 1, 0, 1] signed_sum=3 N=3 pass=True" in text
+    assert "naive self-dual scan: agrees" in text
+    assert "skipped" not in text
+
+
 def test_oracle_group_transport(tmp_path, capsys):
     inst = tmp_path / "g.json"
     cli.main(["gen", "--n", "1", "--q", "3", "--ext", "inert",

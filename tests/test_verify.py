@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import orbitcount
@@ -15,18 +16,20 @@ from orbitcount.errors import BudgetExceeded, SchemaError, TargetUnreachable
 from orbitcount.hermitian import (build_hermitian_quotient, count_selfdual,
                                   split_factor_check)
 from orbitcount.invariants import InvariantPair, invariants_of, strong_regularity
-from orbitcount.kspace import (batch_form_vanishes, batch_stable_mask,
+from orbitcount.kspace import (EchelonBasis, batch_form_vanishes,
+                               batch_stable_mask, gaussian_binomial,
                                iter_rref_bases)
 from orbitcount.local_field import EElem, TruncSeries, field_desc
 from orbitcount.order_lattices import (build_order, build_quotient,
                                        enumerate_stable_submodules,
                                        form_sheets)
-from orbitcount.verify import (_norm_one_constants, dvr_closed_form,
-                               instance_from_obj, instance_to_obj,
-                               matrix_orbit_oracle, naive_subspace_oracle,
-                               oracle_checks, rand_group_instance,
-                               rand_invariants, rand_sn_matrix, sweep,
-                               verify_count_identity, verify_group_identity)
+from orbitcount.verify import (_norm_one_constants, _selfdual_candidates,
+                               dvr_closed_form, instance_from_obj,
+                               instance_to_obj, matrix_orbit_oracle,
+                               naive_subspace_oracle, oracle_checks,
+                               rand_group_instance, rand_invariants,
+                               rand_sn_matrix, sweep, verify_count_identity,
+                               verify_group_identity)
 
 inert3 = field_desc(3, "inert")
 split3 = field_desc(3, "split")
@@ -409,8 +412,10 @@ def test_naive_oracle_small_agreement():
 
 
 def _all_masks_count(Q):
-    """The naive scan without staging: every test runs on every basis of
-    the batch and the masks are AND-ed."""
+    """The naive scan over every k-subspace, without staging: every test
+    runs on every basis of the batch and the masks are AND-ed.  On Q_E it
+    scans all v-dimensional k-subspaces of k^(2v), not only the
+    O_E-submodules the oracle enumerates."""
     herm = hasattr(Q, "herm_re")
     tot = 2 * Q.v if herm else Q.v
     sheets = (form_sheets(Q.space, Q.herm_re, Q.P_op, Q.v)
@@ -430,20 +435,63 @@ def _all_masks_count(Q):
     return count(Q.v) if herm else [count(Q.v - i) for i in range(Q.v + 1)]
 
 
-# q = 3, v = 3 rows scan [6 choose 3]_3 = 33,880 bases for Q_E; the q = 9
-# row runs kspace's prime-power table path
-@pytest.mark.parametrize("n,q,ext,v", [(2, 3, "split", 3), (2, 3, "inert", 3),
-                                       (1, 9, "split", 2)])
-def test_staged_naive_scan_matches_all_masks(n, q, ext, v):
+def _double(n, q, ext, v):
     vd = verify_count_identity(rand_invariants(n, field_desc(q, ext), v,
                                                seed=0))
     Q = vd.quotient
-    QE = build_hermitian_quotient(vd.order, Q.desc, vd.precision, fq=Q)
+    return Q, build_hermitian_quotient(vd.order, Q.desc, vd.precision, fq=Q)
+
+
+def _oe_count(q, ext, v):
+    """O_E-submodules of dimension v in Q_E: [v, v/2]_(q^2) inert,
+    sum_a [v, a]_q [v, v - a]_q split."""
+    if ext == "split":
+        return sum(gaussian_binomial(v, a, q) * gaussian_binomial(v, v - a, q)
+                   for a in range(v + 1))
+    return gaussian_binomial(v, v // 2, q * q) if v % 2 == 0 else 0
+
+
+# q = 3, v = 3 rows scan [6 choose 3]_3 = 33,880 k-subspaces for Q_E in
+# the full scan; the q = 9 rows run kspace's prime-power table path
+@pytest.mark.parametrize("n,q,ext,v", [(2, 3, "split", 3), (2, 3, "inert", 3),
+                                       (1, 9, "split", 2), (1, 9, "inert", 2),
+                                       (2, 5, "split", 2)])
+def test_staged_naive_scan_matches_all_masks(n, q, ext, v):
+    Q, QE = _double(n, q, ext, v)
     m = naive_subspace_oracle(Q)
     assert m == _all_masks_count(Q) == enumerate_stable_submodules(Q)
     N = naive_subspace_oracle(QE)
     assert N == _all_masks_count(QE) == count_selfdual(Q)
     assert len(m) == v + 1
+
+
+@pytest.mark.parametrize("ext", ["inert", "split"])
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_selfdual_candidates_are_the_oe_submodules(q, ext):
+    """The self-dual scan's candidates, taken back to Q_E's coordinates
+    (x = y C^-1 with C^-1 = [[I, I], [I, -I]] when split), are as many
+    as there are O_E-submodules of dimension v, pairwise distinct, and
+    each of dimension v and J-stable."""
+    for v in range(4):
+        _, QE = _double(1, q, ext, v)
+        assert QE.v == v
+        sp = QE.space
+        back = np.eye(2 * v, dtype=np.int64)
+        if ext == "split":
+            eye = np.eye(v, dtype=np.int64)
+            back = np.block([[eye, eye], [eye, sp.neg(eye)]])
+        keys = set()
+        count = 0
+        for W, _ in _selfdual_candidates(QE)[0]:
+            for X in sp.matmul(W, back):
+                eb = EchelonBasis(sp, 2 * v)
+                for x in X:
+                    eb.insert(x)
+                assert eb.dim == v
+                assert all(eb.contains(y) for y in sp.matmul(X, QE.J_op.T))
+                keys.add(eb.key())
+                count += 1
+        assert count == len(keys) == _oe_count(q, ext, v), (v, count)
 
 
 def test_naive_oracle_budget(monkeypatch):
@@ -452,6 +500,53 @@ def test_naive_oracle_budget(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         naive_subspace_oracle(Q)
     assert exc.value.estimate == 212
+
+
+@pytest.mark.parametrize("ext,want", [("inert", 7462), ("split", 20102)])
+def test_selfdual_scan_budget_counts_oe_candidates(monkeypatch, ext, want):
+    """The Q_E scan's budget unit is O_E candidates: a budget one below
+    their count refuses with that count as the estimate, and the count
+    itself runs."""
+    Q, QE = _double(2, 3, ext, 4)
+    assert QE.v == 4 and _oe_count(3, ext, 4) == want
+    monkeypatch.setenv("ORBITAL_BUDGET", str(want - 1))
+    with pytest.raises(BudgetExceeded) as exc:
+        naive_subspace_oracle(QE)
+    assert exc.value.estimate == want
+    monkeypatch.setenv("ORBITAL_BUDGET", str(want))
+    assert naive_subspace_oracle(QE) == count_selfdual(Q)
+
+
+def test_sweep_workers_capped(monkeypatch):
+    """sweep sizes its pool by min(jobs, count, cpu count) and runs in
+    process when that is 1; a stand-in pool records the size and maps
+    serially, so no process starts."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    for cpus, jobs, count, want in ((4, 10000, 3, [3]), (4, 10000, 6, [4]),
+                                    (4, 2, 6, [2]), (None, 10000, 3, []),
+                                    (4, 1, 3, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        rows = sweep(1, 3, "split", 2, count, 9, jobs=jobs)
+        assert sizes == want, (cpus, jobs, count)
+        assert len(rows) == count
 
 
 def test_oracle_checks_reuse_the_verdict(monkeypatch):

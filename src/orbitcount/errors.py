@@ -11,7 +11,8 @@ class OrbitCountError(Exception):
 
 
 class NotAUnit(OrbitCountError):
-    """Inversion of an element with positive valuation outside Laurent mode."""
+    """Inversion of a non-unit: a series of nonzero valuation or exact zero,
+    or an element of E whose norm is exactly 0."""
 
 
 class PrecisionExhausted(OrbitCountError):

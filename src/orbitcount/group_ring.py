@@ -20,7 +20,7 @@ from .errors import (GeneratorNotFound, GroupConstraintViolated,
                      NotStronglyRegular, require)
 from .hermitian import lattice_counts
 from .invariants import (InvariantPair, char_poly_disc, regular_val,
-                         twisted_moments, _vanishes)
+                         twisted_moments)
 from .linalg import (char_coeffs, mat_det, mat_identity, mat_mul,
                      mat_transpose, smith_normal_form)
 from .local_field import EElem, TruncSeries, imaginary_unit, j_power
@@ -209,7 +209,7 @@ def build_group_order(ab, N):
         for r in range(i, n):
             prod = _poly_mul_mod(basis_polys[i], basis_polys[r], ab)
             val = _bprime(prod, ab)
-            require(_vanishes(val.im), "Gram entry of the fixed ring is not real")
+            require(val.im.is_zero(), "Gram entry of the fixed ring is not real")
             G[i][r] = G[r][i] = val.re
             coords[i][r] = coords[r][i] = _fixed_coords(prod, U, desc, N)
     mult_ops = [[[coords[i][r][l] for r in range(n)] for l in range(n)]

@@ -10,10 +10,10 @@ membership predicates for the twisted symmetric spaces.
 
 Delta and disc(P_a) are the same kind of object: the determinant of
 the n x n Hankel matrix (f(t^(i+j))) of a linear form f on E[t]/P_a,
-f = b' for Delta and f = Tr for disc(P_a) = det (Tr(t^(i+j))).  Both
-sequences f(t^m) obey P_a's recurrence, and both determinants are
-division-free, so exact inputs give exact values in every odd
-characteristic, p <= n included.
+f = b' for Delta and f = Tr for disc(P_a) = det (Tr(t^(i+j))), and
+one routine, _hankel, computes both.  Both sequences f(t^m) obey P_a's
+recurrence, and both determinants are division-free, so exact inputs
+give exact values in every odd characteristic, p <= n included.
 
 Real forms.  When every a_i and b_m has its parity, the twists
 alpha_i = j^i a_i, r_m = j^m b'(t^m) and j^m Tr(t^m) lie in F, obey
@@ -27,16 +27,9 @@ serves the tests as the reference for the real forms.
 """
 
 from .errors import (NotStronglyRegular, PrecisionExhausted, SchemaError,
-                     is_json_int, require)
+                     require)
 from .linalg import char_coeffs, mat_det
-from .local_field import EElem, TruncSeries, eelem_from_obj
-
-
-def _vanishes(series):
-    # No known nonzero digit at the available precision.  Exact zeros
-    # also land here; callers that must tell the two apart check
-    # is_exact separately.
-    return len(series.coeffs) == 0
+from .local_field import EElem, TruncSeries
 
 
 class MatrixE:
@@ -110,7 +103,7 @@ class InvariantPair:
                 if not x.is_integral():
                     raise SchemaError(f"{name}[{sub}]", "integrality: valuation is negative")
                 bad = x.re if sub % 2 == 1 else x.im
-                if not _vanishes(bad):
+                if not bad.is_zero():
                     raise SchemaError(
                         f"{name}[{sub}]",
                         f"parity: sigma must act by (-1)^{sub}")
@@ -139,24 +132,6 @@ class InvariantPair:
             [x.truncated(N) for x in self.a],
             [x.truncated(N) for x in self.b],
             self.desc)
-
-    @classmethod
-    def from_obj(cls, obj, desc, field="invariants"):
-        if not isinstance(obj, dict):
-            raise SchemaError(field, "expected an object")
-        n = obj.get("n")
-        if not is_json_int(n) or n < 1:
-            raise SchemaError(field + ".n", "expected a positive integer")
-        out = {}
-        for name in ("a", "b"):
-            arr = obj.get(name)
-            if not isinstance(arr, list) or len(arr) != n:
-                raise SchemaError(field + f".{name}", f"expected an array of {n} elements")
-            out[name] = [
-                eelem_from_obj(cell, desc, f"{name}[{idx}]")
-                for idx, cell in enumerate(arr)
-            ]
-        return cls(out["a"], out["b"], desc)
 
 
 class RegularityReport:
@@ -224,7 +199,7 @@ def real_forms(ab):
         for idx, x in enumerate(arr):
             i = idx + offset
             keep, drop = (x.im, x.re) if i % 2 else (x.re, x.im)
-            if not _vanishes(drop):
+            if not drop.is_zero():
                 return None
             y = keep.scaled(k.pow(d, (i + 1) // 2))
             out.append(y if x.prec is None else y.truncated(x.prec))
@@ -261,12 +236,6 @@ def twisted_moments(ab, count):
     return _recurrence(forms[0], forms[1], count, TruncSeries.zero(ab.desc.k))
 
 
-def moment_sequence(ab, count):
-    """Values b'(t^m) in E for m = 0..count-1: the given b_m for m < n,
-    then P_a's recurrence."""
-    return _recurrence(ab.a, ab.b, count, EElem.zero(ab.desc))
-
-
 def _power_sums(coeffs, count, zero, one, p):
     """Power sums p_m = Tr(t^m) of the roots of P_a, m = 0..count-1, or
     their twists j^m p_m when coeffs is alpha.
@@ -291,24 +260,6 @@ def _power_sums(coeffs, count, zero, one, p):
     return _recurrence(coeffs, out, count, zero)
 
 
-def power_sums(ab, count):
-    """Power sums Tr(t^m) in E of the roots of P_a, m = 0..count-1."""
-    desc = ab.desc
-    return _power_sums(ab.a, count, EElem.zero(desc), EElem.one(desc),
-                       desc.p)
-
-
-def _hankel_det(s, n, zero, one, colscale=None):
-    """det (s_(i+j) c_j)_{0<=i,j<n}, division-free; c_j = colscale[j],
-    residue constants, or 1 when colscale is None."""
-    if colscale is None:
-        hankel = [[s[i + j] for j in range(n)] for i in range(n)]
-    else:
-        hankel = [[s[i + j].scaled(colscale[j]) for j in range(n)]
-                  for i in range(n)]
-    return mat_det(hankel, zero, one)
-
-
 def _twist_scale(n, desc):
     """Column weights d^(-l) under which a Hankel determinant of twists
     r_m = j^m s_m equals det (s_(i+j)).
@@ -324,36 +275,51 @@ def _twist_scale(n, desc):
     return [k.pow(dinv, l) for l in range(n)]
 
 
+def _hankel(ab, forms, traces):
+    """(det (s_(i+j))_{0<=i,j<n} in E, s_0..s_(2n-2)), division-free.
+
+    s_m = Tr(t^m) when traces, else b'(t^m).  With forms None, s is read
+    over E from (a, b); otherwise s holds the twists j^m s_m in F from
+    the real forms (alpha, beta), and the _twist_scale column weights
+    make the determinant the one over E.
+    """
+    desc, n = ab.desc, ab.n
+    if forms is None:
+        coeffs, start = ab.a, ab.b
+        zero, one = EElem.zero(desc), EElem.one(desc)
+    else:
+        coeffs, start = forms
+        zero, one = TruncSeries.zero(desc.k), TruncSeries.one(desc.k)
+    if traces:
+        s = _power_sums(coeffs, 2 * n - 1, zero, one, desc.p)
+    else:
+        s = _recurrence(coeffs, start, 2 * n - 1, zero)
+    if forms is None:
+        return mat_det([[s[i + j] for j in range(n)] for i in range(n)],
+                       zero, one), s
+    scale = _twist_scale(n, desc)
+    det = mat_det([[s[i + j].scaled(scale[j]) for j in range(n)]
+                   for i in range(n)], zero, one)
+    return EElem.from_real(desc, det), s
+
+
 def _delta(ab, forms):
     """(Delta, twisted moments r_0..r_(2n-2)), the moments None over E."""
-    desc, n = ab.desc, ab.n
+    delta, s = _hankel(ab, forms, False)
     if forms is None:
         # The imaginary component cancels because sigma(s_m) = (-1)^m s_m
         # makes the Hankel matrix Hermitian-symmetric with real
         # determinant; a nonvanishing digit there means corrupted input.
-        delta = _hankel_det(moment_sequence(ab, 2 * n - 1), n,
-                            EElem.zero(desc), EElem.one(desc))
-        require(_vanishes(delta.im), "Delta has a nonzero imaginary part")
+        require(delta.im.is_zero(), "Delta has a nonzero imaginary part")
         return delta, None
-    zero, one = TruncSeries.zero(desc.k), TruncSeries.one(desc.k)
-    r = _recurrence(forms[0], forms[1], 2 * n - 1, zero)
-    delta = _hankel_det(r, n, zero, one, _twist_scale(n, desc))
-    return EElem.from_real(desc, delta), r
+    return delta, s
 
 
 def _disc(ab, forms):
     """disc(P_a) over E, or from alpha when forms are given."""
-    desc, n = ab.desc, ab.n
-    if n == 1:
-        return EElem.one(desc)
-    if forms is None:
-        disc = _hankel_det(power_sums(ab, 2 * n - 1), n, EElem.zero(desc),
-                           EElem.one(desc))
-    else:
-        zero, one = TruncSeries.zero(desc.k), TruncSeries.one(desc.k)
-        p = _power_sums(forms[0], 2 * n - 1, zero, one, desc.p)
-        disc = EElem.from_real(
-            desc, _hankel_det(p, n, zero, one, _twist_scale(n, desc)))
+    if ab.n == 1:
+        return EElem.one(ab.desc)
+    disc = _hankel(ab, forms, True)[0]
     precs = [x.prec for x in ab.a if x.prec is not None]
     return disc.truncated(min(precs)) if precs else disc
 

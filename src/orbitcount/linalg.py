@@ -1,7 +1,8 @@
 """Division-light linear algebra over series rings.
 
 Matrices are lists of rows; entries are TruncSeries or EElem (anything
-with +, -, unary -, *, and for the inversion routines .val() and .inv()).
+with +, -, unary -, *; smith_normal_form also reads .val(), .shifted()
+and a unit's .inv()).
 Characteristic polynomials and determinants use the Berkowitz iteration,
 which needs no division at all, so exact inputs give exact outputs.
 """
@@ -123,8 +124,11 @@ def smith_normal_form(M, N, allow_zero_block=False):
                 row[r], row[j0] = row[j0], row[r]
             for row in V:
                 row[r], row[j0] = row[j0], row[r]
-        piv = work[r][r]
-        pinv = piv.inv(laurent=True)
+        # pivot = pi^dv u with u a unit: one inverse serves the
+        # eliminations (pi^(-dv) u^(-1)) and the row scaling (u^(-1))
+        u = work[r][r].shifted(-dv)
+        uinv = u.inv()
+        pinv = uinv.shifted(-dv)
         for i in range(r + 1, n):
             c = work[i][r] * pinv
             if not c.is_zero():
@@ -138,8 +142,6 @@ def smith_normal_form(M, N, allow_zero_block=False):
                     row[j] = row[j] - c * row[r]
                 for row in V:
                     row[j] = row[j] - c * row[r]
-        u = piv.shifted(-dv)
-        uinv = u.inv()
         work[r] = [e * uinv for e in work[r]]
         U[r] = [e * uinv for e in U[r]]
         for row in Uinv:

@@ -273,34 +273,32 @@ class TruncSeries:
                                          self.coeffs)),
                        self.shift, self.prec)
 
-    def inv(self, laurent=False):
-        """Multiplicative inverse, known to the digits the input allows.
+    def inv(self):
+        """Inverse of a unit (val 0), known to the digits the input allows.
 
-        A unit (val 0) inverts directly; positive or negative valuation
-        requires ``laurent=True`` and inverts pi^v * u as pi^(-v) * u^(-1).
-        An exact input inverts only when it is a monomial, whose inverse
-        is again exact; truncate any other first.
+        Any other valuation raises NotAUnit: invert pi^v u as
+        pi^(-v) u^(-1) by shifting.  An exact unit inverts only when it
+        is a constant, whose inverse is again exact; truncate any other
+        first.
         """
         v = self.val()
         if v is None:
             if self.is_exact:
                 raise NotAUnit("exact zero has no inverse")
             raise PrecisionExhausted("cannot invert a series that is 0 at working precision")
-        if v != 0 and not laurent:
-            raise NotAUnit(f"valuation {v} element inverted outside Laurent mode")
+        if v != 0:
+            raise NotAUnit(f"valuation {v} element is not a unit")
         if self.is_exact and len(self.coeffs) == 1:
-            return TruncSeries(self.k, (self.k.inv[self.coeffs[0]],), -v, None)
+            return TruncSeries(self.k, (self.k.inv[self.coeffs[0]],), 0, None)
         if self.is_exact:
-            raise ValueError("an exact series inverts only as a monomial; "
+            raise ValueError("an exact series inverts only as a constant; "
                              "truncate it first")
-        # rel = digits of the unit part we can produce; result prec = rel - v
-        rel = self.prec - v
-        if rel <= 0:
-            raise PrecisionExhausted("no significant digits available for inversion")
+        # a unit is known to at least its constant digit, so prec >= 1
+        prec = self.prec
         add, mul, kinv, neg = self.k.add, self.k.mul, self.k.inv, self.k.neg
         u0 = kinv[self.coeffs[0]]
-        out = [u0] + [0] * (rel - 1)
-        for i in range(1, rel):
+        out = [u0] + [0] * (prec - 1)
+        for i in range(1, prec):
             # coefficient i of u * out must vanish
             acc = 0
             for t in range(1, min(i, len(self.coeffs) - 1) + 1):
@@ -308,7 +306,7 @@ class TruncSeries:
                 if a:
                     acc = add[acc][mul[a][out[i - t]]]
             out[i] = mul[u0][neg[acc]]
-        return TruncSeries(self.k, out, -v, rel - v)
+        return TruncSeries(self.k, out, 0, prec)
 
     # -- comparison --------------------------------------------------
 
@@ -436,6 +434,8 @@ class EElem:
         return EElem(self.desc, self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
+        if self.desc is not other.desc and self.desc != other.desc:
+            raise ValueError("elements of different fields")
         return EElem(self.desc, self.re - other.re, self.im - other.im)
 
     def __neg__(self):
@@ -470,6 +470,8 @@ class EElem:
         return EElem(self.desc, s.re * ninv, s.im * ninv)
 
     def agrees_with(self, other):
+        if self.desc is not other.desc and self.desc != other.desc:
+            raise ValueError("elements of different fields")
         return self.re.agrees_with(other.re) and self.im.agrees_with(other.im)
 
     def __eq__(self, other):

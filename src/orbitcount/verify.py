@@ -28,8 +28,8 @@ from .invariants import (InvariantPair, MatrixE, char_poly_disc,
                          v_invariant)
 from .kspace import (KSpace, batch_form_vanishes, batch_stable_mask,
                      gaussian_binomial, iter_rref_bases, iter_sum_bases)
-from .local_field import (EElem, TruncSeries, eelem_to_obj, eta, field_desc,
-                          j_power)
+from .local_field import (EElem, TruncSeries, eelem_from_obj, eelem_to_obj,
+                          eta, field_desc, j_power)
 from .order_lattices import (_work_budget, build_order, build_quotient,
                              form_sheets, signed_sum, walk)
 
@@ -693,8 +693,15 @@ def instance_from_obj(obj):
     mode = obj.get("mode", "lie")
     if mode not in ("lie", "group"):
         raise SchemaError("mode", "expected 'lie' or 'group'")
-    ab = InvariantPair.from_obj({"n": n, "a": obj["a"], "b": obj["b"]}, desc,
-                                field="instance")
+    arrs = []
+    for name in ("a", "b"):
+        arr = obj[name]
+        if not isinstance(arr, list) or len(arr) != n:
+            raise SchemaError(f"instance.{name}",
+                              f"expected an array of {n} elements")
+        arrs.append([eelem_from_obj(cell, desc, f"{name}[{idx}]")
+                     for idx, cell in enumerate(arr)])
+    ab = InvariantPair(*arrs, desc)
     precision = obj.get("precision")
     if precision is not None:
         if not is_json_int(precision) or precision < 1:

@@ -12,9 +12,9 @@ import orbitcount
 from orbitcount.errors import (InvariantViolation, NotStronglyRegular,
                                PrecisionExhausted, SchemaError)
 from orbitcount.group_ring import build_group_order, lie_transport
-from orbitcount.invariants import (InvariantPair, MatrixE, char_poly_disc,
-                                   delta_invariant, invariants_of,
-                                   moment_sequence, power_sums, real_forms,
+from orbitcount.invariants import (InvariantPair, MatrixE, _power_sums,
+                                   _recurrence, char_poly_disc,
+                                   delta_invariant, invariants_of, real_forms,
                                    regular_val, strong_regularity,
                                    twisted_moments, v_invariant)
 from orbitcount.linalg import mat_det
@@ -109,7 +109,7 @@ def test_invariants_of_explicit_matrix():
 
 def test_moment_sequence_prefix():
     ab = rand_invariants(2, split3, seed=3)
-    s = moment_sequence(ab, 5)
+    s = _recurrence(ab.a, ab.b, 5, EElem.zero(split3))
     assert len(s) == 5
     for i in range(2):
         assert s[i].agrees_with(ab.b[i])
@@ -205,11 +205,11 @@ def _e_forms(ab):
         return mat_det([[s[i + j] for j in range(n)] for i in range(n)],
                        zero, one)
 
-    delta = hankel(moment_sequence(ab, 2 * n - 1))
+    delta = hankel(_recurrence(ab.a, ab.b, 2 * n - 1, zero))
     assert delta.im.is_zero()
     if n == 1:
         return delta, one
-    disc = hankel(power_sums(ab, 2 * n - 1))
+    disc = hankel(_power_sums(ab.a, 2 * n - 1, zero, one, desc.p))
     precs = [x.prec for x in ab.a if x.prec is not None]
     return delta, disc.truncated(min(precs)) if precs else disc
 
@@ -322,6 +322,16 @@ def test_non_parity_pair_keeps_the_e_path():
         twisted_moments(raw, 3)
 
 
+def test_imaginary_delta_is_an_invariant_violation():
+    # a_1 = b_0 = j: b_0 lacks its parity, so the pair has no real forms,
+    # and over E Delta = b_0 = j has a nonzero imaginary part
+    j = _j(inert3)
+    ab = InvariantPair([j], [j], inert3)
+    assert real_forms(ab) is None
+    with pytest.raises(InvariantViolation, match="imaginary part"):
+        delta_invariant(ab)
+
+
 def _group_pair(desc, x):
     """n = 2 group pair with a_2 = 1, a_1 = x + sigma(x), b = (1, a_1 / 2),
     as rand_group_instance builds them, for a real x."""
@@ -381,17 +391,25 @@ def test_pair_truncation_and_prec():
     assert cut.a[0].agrees_with(ab.a[0])
 
 
-# each call must raise ValueError; python -O strips asserts, so a check
-# written as one would let the bad input through
+# each call must raise its error (ValueError for bad input, the last
+# InvariantViolation); python -O strips asserts, so a check written as
+# one would let the input through
 BAD_INPUTS = """
-from orbitcount.invariants import MatrixE
+from orbitcount.errors import InvariantViolation
+from orbitcount.invariants import InvariantPair, MatrixE, delta_invariant
 from orbitcount.linalg import smith_normal_form
-from orbitcount.local_field import EElem, TruncSeries, field_desc
+from orbitcount.local_field import (EElem, TruncSeries, field_desc,
+                                    imaginary_unit)
 inert3, inert5 = field_desc(3, "inert"), field_desc(5, "inert")
+split3 = field_desc(3, "split")
 one = TruncSeries.one(inert3.k)
+j = imaginary_unit(inert3)
 cases = [
     ("mixed fields", lambda: MatrixE([[EElem.one(inert3)]], inert5)),
     ("non-square", lambda: smith_normal_form([[one, one]], 4)),
+    ("mixed difference", lambda: EElem.one(split3) - EElem.one(inert3)),
+    ("mixed agreement",
+     lambda: EElem.one(split3).agrees_with(EElem.one(inert3))),
 ]
 for name, call in cases:
     try:
@@ -399,6 +417,11 @@ for name, call in cases:
         print(name, "accepted")
     except ValueError:
         print(name, "rejected")
+try:
+    delta_invariant(InvariantPair([j], [j], inert3))
+    print("imaginary Delta accepted")
+except InvariantViolation:
+    print("imaginary Delta rejected")
 """
 
 
@@ -409,5 +432,7 @@ def test_input_checks_survive_optimize(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", BAD_INPUTS], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split("\n")[:2] == [
-        "mixed fields rejected", "non-square rejected"], proc.stdout
+    assert proc.stdout.split("\n")[:5] == [
+        "mixed fields rejected", "non-square rejected",
+        "mixed difference rejected", "mixed agreement rejected",
+        "imaginary Delta rejected"], proc.stdout

@@ -112,9 +112,13 @@ def test_series_inverse():
         (one + pi).inv()
     with pytest.raises(NotAUnit):
         pi.inv()
-    lau = pi.inv(laurent=True)
-    assert lau.val() == -1
-    assert (pi * lau).agrees_with(one)
+    # a non-unit is inverted by shifting to its unit part and back
+    x = (pi * u).truncated(10)
+    with pytest.raises(NotAUnit):
+        x.inv()
+    xinv = x.shifted(-1).inv().shifted(-1)
+    assert xinv.val() == -1
+    assert (x * xinv).agrees_with(one)
 
 
 # -- slow oracle for the series kernel -------------------------------
@@ -267,6 +271,19 @@ def test_sigma_involution(desc):
     assert (x * y).sigma().agrees_with(x.sigma() * y.sigma())
     assert (x * x.sigma()).im.is_zero()
     assert x.norm().agrees_with((x * x.sigma()).re)
+
+
+def test_eelem_sub_refuses_mixed_fields():
+    # q = 3 split and inert share k, so the components alone would subtract
+    with pytest.raises(ValueError, match="different fields"):
+        EElem.one(split3) - EElem.one(inert3)
+    assert (EElem.one(split3) - EElem.one(split3)).val() is None
+
+
+def test_eelem_agrees_with_refuses_mixed_fields():
+    with pytest.raises(ValueError, match="different fields"):
+        EElem.one(split3).agrees_with(EElem.one(inert3))
+    assert EElem.one(inert3).agrees_with(EElem.one(inert3))
 
 
 def test_split_pair_coordinates():

@@ -108,3 +108,30 @@ def test_every_stored_field_is_read_in_src():
               if name not in loads and (cls, name) not in PUBLIC_PAYLOADS]
     assert not unread, "stored in src/ but never read there: " + ", ".join(
         unread)
+
+
+# Method names that two or more classes define.  A use x.name() does not
+# say which class it calls, so the first test counts every definition of
+# such a name as used once any one is.  Each definition of each name
+# here has been checked to have a use of its own; a name that newly
+# joins (or leaves) the set fails the test below until that check is
+# made for it and the set is updated.
+SHARED_METHODS = {"agrees_with", "inv", "is_integral", "one", "prec",
+                  "scaled", "slices", "truncated", "val", "zero"}
+
+
+def test_method_names_shared_by_classes_are_pinned():
+    owners = {}
+    for tree in _parse_package().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if (isinstance(stmt, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                            and not (stmt.name.startswith("__")
+                                     and stmt.name.endswith("__"))):
+                        owners.setdefault(stmt.name, set()).add(node.name)
+    shared = {name for name, classes in owners.items() if len(classes) > 1}
+    assert shared == SHARED_METHODS, (
+        f"newly shared: {sorted(shared - SHARED_METHODS)}; "
+        f"no longer shared: {sorted(SHARED_METHODS - shared)}")

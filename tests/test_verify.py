@@ -289,6 +289,19 @@ def test_instance_schema_errors():
     with pytest.raises(SchemaError, match=r"^b\[0\]\.split\[1\]\.coeffs:"):
         instance_from_obj(bad)
 
+    # a and b must be arrays of n elements
+    bad = dict(base)
+    bad["a"] = base["a"] * 2
+    with pytest.raises(SchemaError,
+                       match=r"^instance\.a: expected an array of 1 elements$"):
+        instance_from_obj(bad)
+
+    bad = dict(base)
+    bad["b"] = base["b"][0]
+    with pytest.raises(SchemaError,
+                       match=r"^instance\.b: expected an array of 1 elements$"):
+        instance_from_obj(bad)
+
     bad = dict(base)
     bad["ext"] = ["split"]
     with pytest.raises(SchemaError, match="^ext:"):
@@ -303,7 +316,6 @@ def test_instance_schema_errors():
 
 BOOL_FIELDS = [
     ("q", ("q",)), ("n", ("n",)), ("precision", ("precision",)),
-    ("invariants.n", ("pair", "n")),
     ("b[0].inert.shift", ("b", 0, "inert", "shift")),
     ("b[0].inert.coeffs[0]", ("b", 0, "inert", "coeffs", 0, 0)),
     ("b[0].split[1].shift", ("b", 0, "split", 1, "shift")),
@@ -330,17 +342,12 @@ def test_instance_schema_rejects_booleans(field, path):
     desc = split3 if "split" in path else inert3
     obj = json.loads(json.dumps(instance_to_obj(
         rand_invariants(1, desc, 1, seed=1))))
-    if path[0] == "pair":
-        call = lambda: InvariantPair.from_obj(  # noqa: E731
-            {"n": True, "a": obj["a"], "b": obj["b"]}, desc)
-    else:
-        at = obj
-        for key in path[:-1]:
-            at = at[key]
-        at[path[-1]] = True
-        call = lambda: instance_from_obj(obj)  # noqa: E731
+    at = obj
+    for key in path[:-1]:
+        at = at[key]
+    at[path[-1]] = True
     with pytest.raises(SchemaError, match="^" + re.escape(field) + ":"):
-        call()
+        instance_from_obj(obj)
 
 
 def test_sweep_deterministic():

@@ -157,8 +157,6 @@ def _cell(x):
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.1f}"
     return x
 
 

@@ -265,12 +265,13 @@ def naive_subspace_oracle(Q):
     every sheet of the Hermitian form vanishes, all 2v of them derived
     from the stored pair (re P^r and im P^r, r < v), not only the one
     sheet the walk reads.  A self-dual lattice is an O_E-module, so it is
-    a k_E-subspace of Q_E (k_E = F_(q^2) inert, k x k split), and the
-    scan enumerates those alone (_selfdual_candidates) and loses
-    nothing.  Every operator test, J's included, still runs on each of
-    them, so the J test rechecks that enumeration.  A candidate is
-    dropped at the first operator or sheet that rejects it, so later
-    tests run on the survivors only.  The scan is exponential, so it
+    a k_E-subspace of Q_E (k_E = F_(q^2) inert, k x k split, where Q_E
+    is stored in j's eigen-coordinates), and the scan enumerates those
+    alone (_selfdual_candidates) and loses nothing.  Every operator
+    test, J's included, still runs on each of them, so the J test
+    rechecks that enumeration.  A candidate is dropped at the first
+    operator or sheet that rejects it, so later tests run on the
+    survivors only.  The scan is exponential, so it
     refuses up front when its candidates, subspaces of Q or
     O_E-submodules of Q_E, exceed the node budget.
     """
@@ -310,32 +311,22 @@ def naive_subspace_oracle(Q):
 def _selfdual_candidates(Q):
     """(batches, ops, sheets): the O_E-submodules of dimension v of Q_E,
     yielded as (W, piv) with the identity at the columns piv, and Q_E's
-    operators and 2v sheets in the coordinates of W.
+    own operators and 2v sheets.
 
-    Inert, those are Q_E's own, x = xr + j xi.  The candidates are the
-    (v/2)-dimensional F_(q^2)-subspaces of F_(q^2)^v, one RREF basis
-    each, whose row w = (wr | wi) stands for the k-rows w and
-    j w = (d wi | wr) with d = j^2; there are none when v is odd.  Split
-    (j^2 = 1), y = x C with C = (1/2) [[I, I], [I, -I]] takes the
-    eigenspaces of J to the two halves, so the candidates are the sums
-    A + A' of subspaces of Q with dim A + dim A' = v.  Rows map by
-    M^t, so an operator M becomes C^t M C^-t and a sheet H becomes
-    C^-1 H C^-t.
+    Inert, x = xr + j xi.  The candidates are the (v/2)-dimensional
+    F_(q^2)-subspaces of F_(q^2)^v, one RREF basis each, whose row
+    w = (wr | wi) stands for the k-rows w and j w = (d wi | wr) with
+    d = j^2; there are none when v is odd.  Split, Q_E is stored in j's
+    eigen-coordinates Q + Q, so the candidates are the sums A + A' of
+    subspaces of Q with dim A + dim A' = v, as they stand.
     """
     space, v = Q.space, Q.v
-    ops = Q.ops
     sheets = (form_sheets(space, Q.herm_re, Q.P_op, v)
               + form_sheets(space, Q.herm_im, Q.P_op, v))
     if Q.desc.is_split:
-        eye = np.eye(v, dtype=np.int64)
-        C_inv = np.block([[eye, eye], [eye, space.neg(eye)]])
-        C = space.mul(C_inv, space.k.inv[int(space.add(1, 1))])
-        ops = [space.matmul(space.matmul(C.T, M), C_inv.T) for M in ops]
-        sheets = [space.matmul(space.matmul(C_inv, H), C_inv.T)
-                  for H in sheets]
-        return iter_sum_bases(space, v), ops, sheets
+        return iter_sum_bases(space, v), Q.ops, sheets
     if v % 2:
-        return (), ops, sheets
+        return (), Q.ops, sheets
     d = Q.desc.jsq
 
     def with_j(W):
@@ -345,7 +336,7 @@ def _selfdual_candidates(Q):
 
     batches = ((with_j(W), piv + tuple(v + c for c in piv))
                for W, piv in iter_rref_bases(space, v, v // 2, symbols=2))
-    return batches, ops, sheets
+    return batches, Q.ops, sheets
 
 
 def matrix_orbit_oracle(A):

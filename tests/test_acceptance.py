@@ -17,7 +17,7 @@ from orbitcount.errors import TargetUnreachable
 from orbitcount.fqpoly import sqrt_mod
 from orbitcount.group_ring import lie_transport
 from orbitcount.hermitian import (_orthogonal_pairs, build_hermitian_quotient,
-                                  selfdual_submodules)
+                                  jsq_is_square, selfdual_submodules)
 from orbitcount.linalg import mat_mul, mat_transpose
 from orbitcount.local_field import TruncSeries, field_desc
 from orbitcount.order_lattices import (form_sheets, stable_submodules,
@@ -183,14 +183,18 @@ def test_factored_counts_match_whole_space_walk(sweep_results):
 
 
 def _check_square_blocks(Q, seen):
-    """On every block of Q where j^2 is a square modulo its factor, the
-    pair count equals the walk over the block's double; tallies the
-    blocks checked by kind."""
+    """On every block of Q where j^2 is a square modulo its factor, by
+    sqrt_mod, the pair count equals the walk over the block's double;
+    the degree rule that routes the counts must agree with sqrt_mod on
+    every block.  Tallies the blocks checked by kind."""
     desc = Q.desc
     for B in Q.blocks:
         g = B.factors[0] if B.factors else None
-        if g is not None and sqrt_mod(desc.jsq, g, B.space.k) is None:
-            continue
+        if g is not None:
+            square = sqrt_mod(desc.jsq, g, B.space.k) is not None
+            assert jsq_is_square(desc, g) == square, g
+            if not square:
+                continue
         QE = build_hermitian_quotient(None, desc, None, fq=B)
         assert _orthogonal_pairs(B) == len(selfdual_submodules(QE))
         if g is None:

@@ -118,19 +118,24 @@ def test_report_summary(tmp_path, capsys):
 
 
 def test_oracle_lie_agreement(tmp_path, capsys):
+    """Split rows print these lines as they did when the split Q_E was
+    still stored in (re | im) coordinates.  The v = 4 row's self-dual
+    scan tests the 20,102 O_E-submodules sum_a [4, a]_3 [4, 4 - a]_3."""
+    agrees = ["naive submodule scan: agrees", "naive self-dual scan: agrees",
+              "split factor bijection: agrees",
+              "precision stability +1..+3: agrees",
+              "agreement: all applicable oracles agree"]
     inst = tmp_path / "inst.json"
-    cli.main(["gen", "--n", "1", "--q", "3", "--ext", "split",
-              "--seed", "3", "--target-val", "2", "--out", str(inst)])
-    capsys.readouterr()
-    rc = cli.main(["oracle", str(inst)])
-    text = capsys.readouterr().out
-    assert rc == 0
-    assert "verdict: " in text
-    assert "naive submodule scan: agrees" in text
-    assert "naive self-dual scan: agrees" in text
-    assert "split factor bijection: agrees" in text
-    assert "precision stability +1..+3: agrees" in text
-    assert text.rstrip().endswith("agreement: all applicable oracles agree")
+    for n, seed, v, verdict in [
+            (1, 3, 2, "verdict: v=2 m=[1, 1, 1] signed_sum=3 N=3 pass=True"),
+            (2, 1, 4,
+             "verdict: v=4 m=[1, 2, 3, 2, 1] signed_sum=9 N=9 pass=True")]:
+        cli.main(["gen", "--n", str(n), "--q", "3", "--ext", "split",
+                  "--seed", str(seed), "--target-val", str(v),
+                  "--out", str(inst)])
+        capsys.readouterr()
+        assert cli.main(["oracle", str(inst)]) == 0
+        assert capsys.readouterr().out.splitlines() == [verdict] + agrees
 
 
 def test_oracle_scans_readme_instance(tmp_path, capsys):

@@ -11,11 +11,11 @@ import orbitcount
 from conftest import build_pipeline
 from orbitcount import hermitian
 from orbitcount.errors import BudgetExceeded, TargetUnreachable
-from orbitcount.fqpoly import mulmod, sqrt_mod
+from orbitcount.fqpoly import is_irreducible, monic, mulmod, sqrt_mod
 from orbitcount.gf import gf_by_order
 from orbitcount.hermitian import (build_hermitian_quotient, count_selfdual,
-                                  lattice_counts, selfdual_submodules,
-                                  split_factor_check)
+                                  jsq_is_square, lattice_counts,
+                                  selfdual_submodules, split_factor_check)
 from orbitcount.invariants import InvariantPair
 from orbitcount.kspace import KSpace
 from orbitcount.local_field import EElem, TruncSeries, field_desc
@@ -23,7 +23,7 @@ from orbitcount.order_lattices import (_matrix_min_poly, _poly_apply,
                                        build_order, build_quotient,
                                        enumerate_stable_submodules,
                                        form_sheets, walk)
-from orbitcount.verify import rand_invariants
+from orbitcount.verify import rand_invariants, verify_count_identity
 
 inert3 = field_desc(3, "inert")
 split3 = field_desc(3, "split")
@@ -80,21 +80,69 @@ def test_selfdual_nodes_are_stable_isotropic():
 
 
 def test_hermitian_sheet_symmetry():
-    ab = rand_invariants(2, inert3, target_val_delta=3, seed=4)
-    Q, QE = _herm(ab, N=10)
-    sp = QE.space
-    d = inert3.jsq
-    J = QE.J_op
-    eyed = sp.mul(sp.arr(np.eye(QE.dim, dtype=np.int64)), d)
-    assert np.array_equal(sp.matmul(J, J), eyed)
-    assert QE.herm_re.shape == QE.herm_im.shape == (QE.dim, QE.dim)
-    res = form_sheets(sp, QE.herm_re, QE.P_op, QE.v)
-    ims = form_sheets(sp, QE.herm_im, QE.P_op, QE.v)
-    for Hre, Him in zip(res, ims):
-        assert np.array_equal(Hre, Hre.T)
-        assert np.array_equal(Him, sp.neg(Him.T))
-        assert np.array_equal(sp.matmul(J.T, Hre), sp.mul(Him, d))
-        assert np.array_equal(sp.matmul(J.T, Him), Hre)
+    for desc in (inert3, split3):
+        ab = rand_invariants(2, desc, target_val_delta=3, seed=4)
+        Q, QE = _herm(ab, N=10)
+        sp = QE.space
+        d = desc.jsq
+        J = QE.J_op
+        eyed = sp.mul(sp.arr(np.eye(QE.dim, dtype=np.int64)), d)
+        assert np.array_equal(sp.matmul(J, J), eyed)
+        assert QE.herm_re.shape == QE.herm_im.shape == (QE.dim, QE.dim)
+        res = form_sheets(sp, QE.herm_re, QE.P_op, QE.v)
+        ims = form_sheets(sp, QE.herm_im, QE.P_op, QE.v)
+        for Hre, Him in zip(res, ims):
+            assert np.array_equal(Hre, Hre.T)
+            assert np.array_equal(Him, sp.neg(Him.T))
+            assert np.array_equal(sp.matmul(J.T, Hre), sp.mul(Him, d))
+            assert np.array_equal(sp.matmul(J.T, Him), Hre)
+        if desc.is_split:
+            # j's eigen-coordinates: J = diag(I, -I), ops diag(M, M), and
+            # the form pairs the halves through B / 2
+            zero = sp.zeros((QE.v, QE.v))
+            eye = np.eye(QE.v, dtype=np.int64)
+            assert np.array_equal(
+                J, np.block([[eye, zero], [zero, sp.neg(eye)]]))
+            for M, ME in zip(Q.ops, QE.ops):
+                assert np.array_equal(ME, np.block([[M, zero], [zero, M]]))
+            half = sp.mul(Q.pairing, 2)     # 2 = 1/2 modulo 3
+            assert np.array_equal(QE.herm_re,
+                                  np.block([[zero, half], [half, zero]]))
+            assert np.array_equal(
+                QE.herm_im, np.block([[zero, half], [sp.neg(half), zero]]))
+
+
+@pytest.mark.parametrize("q,top", [(3, 4), (5, 4), (9, 3)])
+@pytest.mark.parametrize("ext", ["inert", "split"])
+def test_degree_rule_matches_sqrt_mod(q, top, ext):
+    """j^2 is a square modulo g exactly when the degree rule says so, for
+    every monic irreducible g up to degree top."""
+    desc = field_desc(q, ext)
+    k = desc.k
+    for f in range(1, top + 1):
+        for g in monic(f, q):
+            if is_irreducible(g, k):
+                assert jsq_is_square(desc, g) == (
+                    sqrt_mod(desc.jsq, g, k) is not None), g
+
+
+def test_verdicts_never_call_sqrt_mod(monkeypatch):
+    """The degree rule routes every block, so a verdict takes no square
+    root: a split row, an inert row with one factor of degree 2 and an
+    inert row with one linear factor all pass with sqrt_mod refusing."""
+    def refuse(*args):
+        raise AssertionError("a verdict called sqrt_mod")
+
+    monkeypatch.setattr(hermitian, "sqrt_mod", refuse)
+    for n, q, ext, v, seed, family, degrees, m, N in [
+            (2, 3, "split", 4, 1, "generic", [1, 1], [1, 2, 3, 2, 1], 9),
+            (2, 3, "inert", 4, 0, "irreducible", [2], [1, 0, 1, 0, 1], 3),
+            (2, 5, "inert", 4, 1, "generic", [1], [1, 1, 6, 1, 1], 6)]:
+        ab = rand_invariants(n, field_desc(q, ext), v, seed=seed,
+                             family=family)
+        vd = verify_count_identity(ab)
+        assert vd.passed and (vd.m, vd.N) == (m, N)
+        assert [len(g) - 1 for g in vd.quotient.factors] == degrees
 
 
 def test_selfdual_budget(monkeypatch):

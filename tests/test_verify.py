@@ -475,22 +475,23 @@ def test_staged_naive_scan_matches_all_masks(n, q, ext, v):
 @pytest.mark.parametrize("ext", ["inert", "split"])
 @pytest.mark.parametrize("q", [3, 5, 9])
 def test_selfdual_candidates_are_the_oe_submodules(q, ext):
-    """The self-dual scan's candidates, taken back to Q_E's coordinates
-    (x = y C^-1 with C^-1 = [[I, I], [I, -I]] when split), are as many
-    as there are O_E-submodules of dimension v, pairwise distinct, and
-    each of dimension v and J-stable."""
+    """The self-dual scan's candidates, in Q_E's own coordinates (j's
+    eigen-coordinates when split, where J = diag(I, -I)), are as many as
+    there are O_E-submodules of dimension v, pairwise distinct, and each
+    of dimension v and J-stable as it stands."""
     for v in range(4):
         _, QE = _double(1, q, ext, v)
         assert QE.v == v
         sp = QE.space
-        back = np.eye(2 * v, dtype=np.int64)
         if ext == "split":
             eye = np.eye(v, dtype=np.int64)
-            back = np.block([[eye, eye], [eye, sp.neg(eye)]])
+            zero = sp.zeros((v, v))
+            assert np.array_equal(QE.J_op,
+                                  np.block([[eye, zero], [zero, sp.neg(eye)]]))
         keys = set()
         count = 0
         for W, _ in _selfdual_candidates(QE)[0]:
-            for X in sp.matmul(W, back):
+            for X in W:
                 eb = EchelonBasis(sp, 2 * v)
                 for x in X:
                     eb.insert(x)
